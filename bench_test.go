@@ -25,7 +25,7 @@ import (
 	"vida/internal/sched"
 	"vida/internal/serve"
 	"vida/internal/trace"
-	"vida/internal/values"
+	"vida/internal/vec"
 	"vida/internal/workload"
 )
 
@@ -496,17 +496,13 @@ func boxifyColumns(b *testing.B, eng *vida.Engine, dataset string) {
 	if !ok {
 		b.Fatalf("no columnar entry for %s", dataset)
 	}
-	boxed := make(map[string][]values.Value, len(e.Cols))
+	boxed := make(map[string]vec.Col, len(e.Cols))
 	for name, col := range e.Cols {
-		c := col
-		vs := make([]values.Value, e.N)
-		for i := range vs {
-			vs[i] = c.Value(i)
-		}
-		boxed[name] = vs
+		col.Demote()
+		boxed[name] = col
 	}
 	m.Invalidate(dataset)
-	if err := m.PutColumns(dataset, e.N, boxed); err != nil {
+	if err := m.PutColumnVectors(dataset, e.N, boxed); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -36,10 +36,11 @@ func (c ctxCatalog) Description(name string) (*sdg.Description, bool) {
 }
 
 // ctxRowStride bounds how many rows stream between context checks on the
-// record/slot paths (batch paths check per batch).
+// record path (batch paths check per batch).
 const ctxRowStride = 256
 
-// ctxSource threads context checks into all four scan contracts.
+// ctxSource threads context checks into the record contract, the batch
+// contract and its range form.
 type ctxSource struct {
 	ctx   context.Context
 	inner algebra.Source
@@ -64,36 +65,14 @@ func (s *ctxSource) Iterate(fields []string, yield func(values.Value) error) err
 	})
 }
 
-// IterateSlots implements jit.SlotSource.
-func (s *ctxSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	if err := s.ctx.Err(); err != nil {
-		return err
-	}
-	ss, ok := s.inner.(jit.SlotSource)
-	if !ok {
-		return slotsFromRecords(s, fields, yield)
-	}
-	n := 0
-	return ss.IterateSlots(fields, func(row []values.Value) error {
-		if n++; n%ctxRowStride == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		return yield(row)
-	})
-}
-
-// IterateBatches implements jit.BatchSource.
+// IterateBatches implements jit.BatchSource. The engine's catalog sources
+// are all batch sources, so the schema-less adapter fallback only ever
+// serves whole-value (empty fields) scans.
 func (s *ctxSource) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	bs, ok := s.inner.(jit.BatchSource)
-	if !ok {
-		return batchesFromSlots(s.IterateSlots, fields, batchSize, yield)
-	}
-	return bs.IterateBatches(fields, batchSize, func(b *vec.Batch) error {
+	return jit.ScanBatches(s.inner, nil, fields, batchSize, func(b *vec.Batch) error {
 		if err := s.ctx.Err(); err != nil {
 			return err
 		}

@@ -657,7 +657,7 @@ func (e *Engine) sourceFor(name string, sp *trace.Span) (algebra.Source, bool) {
 		return nil, false
 	}
 	if e.opts.DisableCaching || s.isView {
-		return &countingSource{e: e, inner: s.src, raw: true, sp: sp}, true
+		return &countingSource{e: e, inner: s.src, rowType: s.desc.IterationType(), raw: true, sp: sp}, true
 	}
 	return &cachingSource{e: e, entry: s, sp: sp}, true
 }
@@ -679,10 +679,11 @@ func traceYield(sp *trace.Span, yield func(*vec.Batch) error) func(*vec.Batch) e
 
 // countingSource tags scans for the statistics (cache vs raw).
 type countingSource struct {
-	e     *Engine
-	inner algebra.Source
-	raw   bool
-	sp    *trace.Span // parent for scan spans; nil when disarmed
+	e       *Engine
+	inner   algebra.Source
+	rowType *sdg.Type // column tags for record-only inners
+	raw     bool
+	sp      *trace.Span // parent for scan spans; nil when disarmed
 }
 
 // scanSpan opens a scan span for this source (nil when disarmed). The
@@ -717,27 +718,13 @@ func (s *countingSource) count() {
 	}
 }
 
-// IterateSlots forwards the JIT slot fast path when the wrapped source
-// has one (cache-disabled engines still get specialized raw scans) and
-// falls back to exploding records otherwise.
-func (s *countingSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	if ss, ok := s.inner.(jit.SlotSource); ok {
-		s.count()
-		return ss.IterateSlots(fields, yield)
-	}
-	return slotsFromRecords(s, fields, yield)
-}
-
-// IterateBatches forwards the JIT batch fast path when the wrapped
-// source has one and packs slot rows into boxed batches otherwise.
+// IterateBatches implements jit.BatchSource: the inner source's own
+// batches, or its records through the adapter.
 func (s *countingSource) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
-	if bs, ok := s.inner.(jit.BatchSource); ok {
-		s.count()
-		sp := s.scanSpan()
-		defer sp.End()
-		return bs.IterateBatches(fields, batchSize, traceYield(sp, yield))
-	}
-	return batchesFromSlots(s.IterateSlots, fields, batchSize, yield)
+	s.count()
+	sp := s.scanSpan()
+	defer sp.End()
+	return jit.ScanBatches(s.inner, s.rowType, fields, batchSize, traceYield(sp, yield))
 }
 
 // OpenRange forwards range-partitioned scans (morsel parallelism).
@@ -847,49 +834,30 @@ func cacheScanMode(e *cache.Entry) string {
 // Name implements algebra.Source.
 func (s *cachingSource) Name() string { return s.entry.desc.Name }
 
-// Iterate implements algebra.Source.
+// Iterate implements algebra.Source. Projected scans are records boxed
+// from IterateBatches, so cache hits and raw harvests are the batch
+// path's; whole-record scans (no fields) use the row-layout cache.
 func (s *cachingSource) Iterate(fields []string, yield func(values.Value) error) error {
-	name := s.entry.desc.Name
 	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.Iterate(fields, yield)
-		}
-	} else if entry, ok := s.e.caches.Get(name, cache.LayoutRows); ok {
+		return s.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
+			return b.Records(fields, yield)
+		})
+	}
+	name := s.entry.desc.Name
+	if entry, ok := s.e.caches.Get(name, cache.LayoutRows); ok {
 		s.e.cacheScans.Add(1)
 		src := &cache.RowsSource{Entry: entry, Dataset: name}
 		return src.Iterate(fields, yield)
 	}
-	// Raw access; harvest the stream into the cache — unless the engine
-	// is under memory pressure, in which case the scan still answers but
-	// the cache does not grow (harvest shedding, the graceful step before
-	// any query hits the budget ceiling).
+	// Raw access; harvest the rows into the cache — unless the engine is
+	// under memory pressure (harvest shedding: the scan still answers but
+	// the cache does not grow).
 	s.e.rawScans.Add(1)
 	if s.e.mem.underPressure() {
 		s.e.harvestSkips.Add(1)
-		return s.entry.src.Iterate(fields, yield)
+		return s.entry.src.Iterate(nil, yield)
 	}
 	guard := s.newHarvestGuard()
-	if len(fields) > 0 {
-		cols := make(map[string][]values.Value, len(fields))
-		for _, f := range fields {
-			cols[f] = nil
-		}
-		n := 0
-		err := s.entry.src.Iterate(fields, func(v values.Value) error {
-			for _, f := range fields {
-				fv, _ := v.Get(f)
-				cols[f] = append(cols[f], fv)
-			}
-			n++
-			return yield(v)
-		})
-		if err != nil {
-			return err
-		}
-		return guard.put(func() error { return s.e.caches.PutColumns(name, n, cols) })
-	}
 	var rows []values.Value
 	err := s.entry.src.Iterate(nil, func(v values.Value) error {
 		rows = append(rows, v)
@@ -901,149 +869,104 @@ func (s *cachingSource) Iterate(fields []string, yield func(values.Value) error)
 	return guard.put(func() error { s.e.caches.PutRows(name, rows); return nil })
 }
 
-// IterateSlots lets the JIT fast path run against the cache (or the raw
-// reader's own slot path) while preserving the harvest-into-cache
-// behaviour.
-func (s *cachingSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	name := s.entry.desc.Name
-	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.IterateSlots(fields, yield)
-		}
-		// Raw slot scan with harvesting (shed under memory pressure).
-		if ss, ok := s.entry.src.(jit.SlotSource); ok {
-			s.e.rawScans.Add(1)
-			if s.e.mem.underPressure() {
-				s.e.harvestSkips.Add(1)
-				return ss.IterateSlots(fields, yield)
-			}
-			guard := s.newHarvestGuard()
-			cols := make(map[string][]values.Value, len(fields))
-			n := 0
-			err := ss.IterateSlots(fields, func(row []values.Value) error {
-				for i, f := range fields {
-					cols[f] = append(cols[f], row[i])
-				}
-				n++
-				return yield(row)
-			})
-			if err != nil {
-				return err
-			}
-			return guard.put(func() error { return s.e.caches.PutColumns(name, n, cols) })
-		}
-	}
-	// Fall back to the record path, exploding into slots.
-	return slotsFromRecords(s, fields, yield)
-}
-
-// IterateBatches is the vectorized counterpart of IterateSlots: cache
-// hits serve zero-copy column-slice batches, raw scans stream the
-// plugin's typed batches while harvesting boxed columns into the cache,
-// and everything else packs slot rows into boxed batches.
+// IterateBatches implements jit.BatchSource, for every source format:
+// cache hits serve zero-copy column-slice batches, and raw scans stream
+// the plugin's batches (native, or its records through the adapter)
+// while harvesting them into the cache. Empty fields scan whole values.
 func (s *cachingSource) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
+	if len(fields) == 0 {
+		return jit.ScanBatches(s, nil, nil, batchSize, yield)
+	}
 	name := s.entry.desc.Name
-	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			sp := s.scanSpan(cacheScanMode(entry))
-			defer sp.End()
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.IterateBatches(fields, batchSize, traceYield(sp, yield))
-		}
-		if bs, ok := s.entry.src.(jit.BatchSource); ok {
-			s.e.rawScans.Add(1)
-			sp := s.scanSpan("raw")
-			if sp != nil {
-				b0, n0, _ := s.buildStats()
-				defer func() {
-					s.recordBuild(sp, b0, n0)
-					sp.End()
-				}()
-				yield = traceYield(sp, yield)
-			}
-			guard := s.newHarvestGuard()
-			// Pre-size harvest columns when the reader already knows its
-			// row count — repeated scans then build cache columns with a
-			// single allocation each.
-			hint := 0
-			if s.entry.csv != nil {
-				if pm := s.entry.csv.PosMap(); pm.HasRows() {
-					hint = pm.NumRows()
-				}
-			}
-			// Typed harvest: the plugin's column vectors are retained in
-			// their typed representation, so the cache entry serves the
-			// next scan unboxed. Mixed-type columns demote to boxed
-			// inside the builder.
-			//
-			// Harvesting is the engine's first victim under memory
-			// pressure: each harvested batch reserves its estimated bytes
-			// against the global budget, and past the high-water mark (or
-			// at the ceiling) the harvest is shed — the query still
-			// answers from raw, the cache just does not grow — before any
-			// query is killed.
-			harvest := !s.e.mem.underPressure()
-			if !harvest {
-				s.e.harvestSkips.Add(1)
-			}
-			sp.SetAttr("harvest", harvest)
-			var builders []*vec.ColBuilder
-			if harvest {
-				builders = make([]*vec.ColBuilder, len(fields))
-				for i := range builders {
-					builders[i] = vec.NewColBuilder(hint)
-				}
-			}
-			var reserved int64
-			defer func() { s.e.mem.release(reserved) }()
-			n := 0
-			err := bs.IterateBatches(fields, batchSize, func(b *vec.Batch) error {
-				if ferr := faultinject.Hit(faultinject.RefreshDuringScan); ferr != nil {
-					return ferr
-				}
-				if harvest {
-					// Harvest before the JIT refines the selection: the cache
-					// stores every scanned row, filters apply per query.
-					delta := b.MemoryBytes() + faultinject.Value(faultinject.AllocSpike)
-					if rerr := s.e.mem.reserve(delta); rerr != nil {
-						harvest, builders = false, nil
-						s.e.harvestSkips.Add(1)
-					} else {
-						reserved += delta
-						for c := range fields {
-							builders[c].Append(&b.Cols[c], b)
-						}
-					}
-				}
-				n += b.Len()
-				return yield(b)
-			})
-			if err != nil {
-				return err
-			}
-			if !harvest {
-				return nil
-			}
-			if err := guard.put(func() error {
-				cols := make(map[string]vec.Col, len(fields))
-				for i, f := range fields {
-					cols[f] = builders[i].Finish()
-				}
-				return s.e.caches.PutColumnVectors(name, n, cols)
-			}); err != nil {
-				return err
-			}
-			// The harvesting scan just built (or extended) the positional
-			// map as a side effect; persist it so a restart skips the
-			// first-touch rebuild.
-			s.e.saveAux(s.entry)
-			return nil
+	if entry, ok := s.e.caches.GetColumns(name, fields); ok {
+		s.e.cacheScans.Add(1)
+		sp := s.scanSpan(cacheScanMode(entry))
+		defer sp.End()
+		src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
+		return src.IterateBatches(fields, batchSize, traceYield(sp, yield))
+	}
+	s.e.rawScans.Add(1)
+	sp := s.scanSpan("raw")
+	if sp != nil {
+		b0, n0, _ := s.buildStats()
+		defer func() {
+			s.recordBuild(sp, b0, n0)
+			sp.End()
+		}()
+		yield = traceYield(sp, yield)
+	}
+	guard := s.newHarvestGuard()
+	// Pre-size harvest columns when the reader already knows its row
+	// count — repeated scans then build cache columns with a single
+	// allocation each.
+	hint := 0
+	if s.entry.csv != nil {
+		if pm := s.entry.csv.PosMap(); pm.HasRows() {
+			hint = pm.NumRows()
 		}
 	}
-	return batchesFromSlots(s.IterateSlots, fields, batchSize, yield)
+	// Typed harvest: the scan's column vectors are retained in their
+	// typed representation, so the cache entry serves the next scan
+	// unboxed. Mixed-type columns demote to boxed inside the builder.
+	//
+	// Harvesting is the engine's first victim under memory pressure:
+	// each harvested batch reserves its estimated bytes against the
+	// global budget, and past the high-water mark (or at the ceiling) the
+	// harvest is shed — the query still answers from raw, the cache just
+	// does not grow — before any query is killed.
+	harvest := !s.e.mem.underPressure()
+	if !harvest {
+		s.e.harvestSkips.Add(1)
+	}
+	sp.SetAttr("harvest", harvest)
+	var builders []*vec.ColBuilder
+	if harvest {
+		builders = make([]*vec.ColBuilder, len(fields))
+		for i := range builders {
+			builders[i] = vec.NewColBuilder(hint)
+		}
+	}
+	var reserved int64
+	defer func() { s.e.mem.release(reserved) }()
+	n := 0
+	err := jit.ScanBatches(s.entry.src, s.entry.desc.IterationType(), fields, batchSize, func(b *vec.Batch) error {
+		if ferr := faultinject.Hit(faultinject.RefreshDuringScan); ferr != nil {
+			return ferr
+		}
+		if harvest {
+			// Harvest before the JIT refines the selection: the cache
+			// stores every scanned row, filters apply per query.
+			delta := b.MemoryBytes() + faultinject.Value(faultinject.AllocSpike)
+			if rerr := s.e.mem.reserve(delta); rerr != nil {
+				harvest, builders = false, nil
+				s.e.harvestSkips.Add(1)
+			} else {
+				reserved += delta
+				for c := range fields {
+					builders[c].Append(&b.Cols[c], b)
+				}
+			}
+		}
+		n += b.Len()
+		return yield(b)
+	})
+	if err != nil || !harvest {
+		return err
+	}
+	if err := guard.put(func() error {
+		cols := make(map[string]vec.Col, len(fields))
+		for i, f := range fields {
+			cols[f] = builders[i].Finish()
+		}
+		return s.e.caches.PutColumnVectors(name, n, cols)
+	}); err != nil {
+		return err
+	}
+	// A harvesting CSV scan just built (or extended) the positional map
+	// as a side effect; persist it so a restart skips the first-touch
+	// rebuild.
+	s.e.saveAux(s.entry)
+	return nil
 }
 
 // OpenRange serves morsel-parallel scans: from the columnar cache when it
@@ -1096,30 +1019,6 @@ func (s *cachingSource) OpenRange(fields []string) (func(lo, hi, batchSize int, 
 		})
 		return scan(lo, hi, batchSize, traceYield(sp, yield))
 	}, n, true
-}
-
-// slotsFromRecords adapts a record stream to the slot contract.
-func slotsFromRecords(src algebra.Source, fields []string, yield func([]values.Value) error) error {
-	buf := make([]values.Value, len(fields))
-	return src.Iterate(fields, func(v values.Value) error {
-		for i, f := range fields {
-			fv, _ := v.Get(f)
-			buf[i] = fv
-		}
-		return yield(buf)
-	})
-}
-
-// batchesFromSlots packs slot rows into boxed batches.
-func batchesFromSlots(iter func(fields []string, yield func([]values.Value) error) error, fields []string, batchSize int, yield func(*vec.Batch) error) error {
-	if batchSize <= 0 {
-		batchSize = vec.DefaultBatchSize
-	}
-	p := vec.NewPacker(len(fields), batchSize, nil, yield)
-	if err := iter(fields, p.Add); err != nil {
-		return err
-	}
-	return p.Flush()
 }
 
 // ---------------------------------------------------------------------------

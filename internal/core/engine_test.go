@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vida/internal/algebra"
 	"vida/internal/cache"
+	"vida/internal/mcl"
+	"vida/internal/optimizer"
 	"vida/internal/sdg"
 	"vida/internal/values"
 	"vida/internal/vec"
@@ -505,5 +509,41 @@ func TestHarvestNullMaskRoundTrip(t *testing.T) {
 	}
 	if !values.Equal(cold, warm) || cold.Int() != 40 {
 		t.Fatalf("cold %v warm %v", cold, warm)
+	}
+}
+
+// TestSamplerEarlyStopInstallsNothing: the adaptive optimizer's
+// selectivity sampler reads a prefix of a cold source and stops the scan
+// early; the partial scan must not install a (short) cache entry.
+func TestSamplerEarlyStopInstallsNothing(t *testing.T) {
+	e := newEngine(t, Options{})
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "t.json")
+	var js strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&js, `{"id": %d, "age": %d}`+"\n", i, 20+i%50)
+	}
+	if err := os.WriteFile(jsonPath, []byte(js.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row := sdg.Record(sdg.Attr{Name: "id", Type: sdg.Int}, sdg.Attr{Name: "age", Type: sdg.Int})
+	if err := e.Register(sdg.DefaultDescription("TJ", sdg.FormatJSON, jsonPath, sdg.Bag(row))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Patients", "TJ"} {
+		scan := &algebra.Scan{Source: name, Var: "x", Fields: []string{"id", "age"}, Filter: mcl.MustParse("x.age > 30")}
+		sel, err := optimizer.MeasureSelectivity(catalog{e: e}, scan, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel <= 0 || sel >= 1 {
+			t.Fatalf("%s: sampled selectivity %v, want in (0,1)", name, sel)
+		}
+		if _, ok := e.Caches().Peek(name, cache.LayoutColumns); ok {
+			t.Fatalf("%s: the stopped sampling scan installed a cache entry", name)
+		}
+	}
+	if st := e.StatsSnapshot(); st.RawScans != 2 || st.Cache.Insertions != 0 {
+		t.Fatalf("raw scans = %d, insertions = %d; want 2 and 0", st.RawScans, st.Cache.Insertions)
 	}
 }

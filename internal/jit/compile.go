@@ -28,21 +28,66 @@ type SchemaCatalog interface {
 	Description(name string) (*sdg.Description, bool)
 }
 
-// SlotSource is implemented by access paths that can emit slot rows
-// directly (no record construction): slot order follows the fields
-// argument. It is the row-based fallback contract for plugins that do not
-// implement BatchSource.
-type SlotSource interface {
-	IterateSlots(fields []string, yield func([]values.Value) error) error
-}
-
 // BatchSource is implemented by access paths that emit column-vector
 // batches directly — typed (unboxed) columns where the schema allows.
-// This is the preferred scan contract: the CSV plugin fills whole column
-// vectors per positional-map jump, and columnar cache entries serve their
-// slices zero-copy. Batches are reused between yields.
+// It is the one scan contract the executor consumes (through
+// ScanBatches): the CSV plugin fills whole column vectors per
+// positional-map jump, columnar cache entries serve their slices
+// zero-copy, and the engine's catalog sources harvest every format's
+// batches into the cache. Batches are reused between yields.
 type BatchSource interface {
 	IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error
+}
+
+// ScanBatches scans fields of src as batches: natively when src is a
+// BatchSource, else through the record adapter — the one place a record
+// stream becomes batches. The adapter types each column by its
+// attribute's kind in rowType (vec.TagOf; Boxed when rowType does not
+// name it); a value that does not fit demotes that column of the current
+// batch to boxed (vec.Col.AppendValue), so a wrong schema costs speed,
+// never answers. Empty fields scan whole values: one boxed column per
+// datum, for open-schema sources.
+func ScanBatches(src algebra.Source, rowType *sdg.Type, fields []string, batchSize int, yield func(*vec.Batch) error) error {
+	if bs, ok := src.(BatchSource); ok && len(fields) > 0 {
+		return bs.IterateBatches(fields, batchSize, yield)
+	}
+	if batchSize <= 0 {
+		batchSize = vec.DefaultBatchSize
+	}
+	tags := make([]vec.Tag, max(len(fields), 1)) // zero value: Boxed
+	if rowType != nil {
+		for i, f := range fields {
+			if a, ok := rowType.Attr(f); ok {
+				tags[i] = vec.TagOf(a.Type.Kind)
+			}
+		}
+	}
+	b := vec.NewTyped(tags, min(batchSize, 128))
+	flush := func() error {
+		err := yield(b)
+		for i := range b.Cols {
+			b.Cols[i].Reset(tags[i]) // undo per-batch demotions
+		}
+		b.N, b.Sel = 0, nil
+		return err
+	}
+	err := src.Iterate(fields, func(v values.Value) error {
+		if len(fields) == 0 {
+			b.Cols[0].AppendValue(v)
+		}
+		for i, f := range fields {
+			fv, _ := v.Get(f)
+			b.Cols[i].AppendValue(fv)
+		}
+		if b.N++; b.N < batchSize {
+			return nil
+		}
+		return flush()
+	})
+	if err != nil || b.N == 0 {
+		return err
+	}
+	return flush()
 }
 
 // RangeBatchSource is implemented by access paths that can serve an
@@ -467,17 +512,15 @@ func (c *compiler) compilePlan(p algebra.Plan) (*compiledPlan, error) {
 	return nil, fmt.Errorf("jit: unknown plan node %T", p)
 }
 
-// compileScan selects the input plugin for the source format and stages a
-// specialized scan loop. Sources that can emit column batches
-// (BatchSource) feed the pipeline with typed vectors; slot sources are
-// packed into boxed batches; generic sources are exploded into slots when
-// the schema is known, or bound as whole values otherwise.
+// compileScan stages a scan loop over the source's batches (see
+// ScanBatches): attribute slots when the plan or schema names the fields,
+// else one whole-value slot per datum (open-schema JSON). A filter pushed
+// into the scan refines each batch's selection before the sink sees it.
 func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	src, ok := c.cat.Source(n.Source)
 	if !ok {
 		return nil, fmt.Errorf("jit: unknown source %q", n.Source)
 	}
-
 	// Determine the attribute list: explicit plan fields, else the full
 	// schema when known, else whole-value binding.
 	fields := n.Fields
@@ -492,37 +535,10 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	}
 	bs := c.opts.BatchSize
 
-	if len(fields) == 0 {
-		// Open schema: one whole-value slot per datum (JSON objects).
-		f := newFrame()
-		f.add(n.Var, "")
-		var mkFilter func() batchFilter
-		if n.Filter != nil {
-			var err error
-			mkFilter, err = c.compileFilter(n.Filter, f)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &compiledPlan{frame: f, run: func(sink batchSink) error {
-			var flt batchFilter
-			if mkFilter != nil {
-				flt = mkFilter()
-			}
-			p := vec.NewPacker(1, bs, flt, sink)
-			row := make([]values.Value, 1)
-			if err := src.Iterate(nil, func(v values.Value) error {
-				row[0] = v
-				return p.Add(row)
-			}); err != nil {
-				return err
-			}
-			return p.Flush()
-		}}, nil
-	}
-
-	// Flattened scan: one slot per attribute.
 	f := newFrame()
+	if len(fields) == 0 {
+		f.add(n.Var, "")
+	}
 	for _, fld := range fields {
 		f.add(n.Var, fld)
 	}
@@ -534,78 +550,37 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 			return nil, err
 		}
 	}
-	cp := &compiledPlan{frame: f}
-	filterOf := func() batchFilter {
+	// filtered wraps sink with a fresh filter instance (one per run or
+	// morsel: filters carry selection scratch).
+	filtered := func(sink batchSink) batchSink {
 		if mkFilter == nil {
-			return nil
+			return sink
 		}
-		return mkFilter()
-	}
-	if bsrc, ok := src.(BatchSource); ok {
-		// Specialized plugin: the access path fills column vectors.
-		cp.run = func(sink batchSink) error {
-			flt := filterOf()
-			return bsrc.IterateBatches(fields, bs, func(b *vec.Batch) error {
-				if flt != nil {
-					if err := flt(b); err != nil {
-						return err
-					}
-					if b.Len() == 0 {
-						return nil
-					}
-				}
-				return sink(b)
-			})
-		}
-		if rsrc, ok := src.(RangeBatchSource); ok {
-			cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-				scan, total, ok := rsrc.OpenRange(fields)
-				if !ok {
-					return nil, 0, false
-				}
-				return func(lo, hi int, sink batchSink) error {
-					flt := filterOf()
-					return scan(lo, hi, bs, func(b *vec.Batch) error {
-						if flt != nil {
-							if err := flt(b); err != nil {
-								return err
-							}
-							if b.Len() == 0 {
-								return nil
-							}
-						}
-						return sink(b)
-					})
-				}, total, true
-			}
-		}
-		return cp, nil
-	}
-	if ss, ok := src.(SlotSource); ok {
-		// Slot plugin (row-based fallback): pack slot rows into batches.
-		cp.run = func(sink batchSink) error {
-			p := vec.NewPacker(len(fields), bs, filterOf(), sink)
-			if err := ss.IterateSlots(fields, p.Add); err != nil {
+		flt := mkFilter()
+		return func(b *vec.Batch) error {
+			if err := flt(b); err != nil {
 				return err
 			}
-			return p.Flush()
-		}
-		return cp, nil
-	}
-	// Generic record source.
-	cp.run = func(sink batchSink) error {
-		p := vec.NewPacker(len(fields), bs, filterOf(), sink)
-		row := make([]values.Value, len(fields))
-		if err := src.Iterate(fields, func(v values.Value) error {
-			for i, fld := range fields {
-				fv, _ := v.Get(fld)
-				row[i] = fv
+			if b.Len() == 0 {
+				return nil
 			}
-			return p.Add(row)
-		}); err != nil {
-			return err
+			return sink(b)
 		}
-		return p.Flush()
+	}
+	cp := &compiledPlan{frame: f}
+	cp.run = func(sink batchSink) error {
+		return ScanBatches(src, rowType, fields, bs, filtered(sink))
+	}
+	if rsrc, ok := src.(RangeBatchSource); ok && len(fields) > 0 {
+		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
+			scan, total, ok := rsrc.OpenRange(fields)
+			if !ok {
+				return nil, 0, false
+			}
+			return func(lo, hi int, sink batchSink) error {
+				return scan(lo, hi, bs, filtered(sink))
+			}, total, true
+		}
 	}
 	return cp, nil
 }
@@ -765,7 +740,7 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	outWidth := f.width()
 	bs := c.opts.BatchSize
 	mkExplode := func(sink batchSink) (func(b *vec.Batch) error, *vec.Packer) {
-		p := vec.NewPacker(outWidth, bs, nil, sink)
+		p := vec.NewPacker(outWidth, bs, sink)
 		buf := make([]values.Value, outWidth)
 		row := buf[:inWidth]
 		return func(b *vec.Batch) error {
@@ -856,7 +831,7 @@ func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
 		if err != nil {
 			return err
 		}
-		p := vec.NewPacker(lw+rw, bs, nil, sink)
+		p := vec.NewPacker(lw+rw, bs, sink)
 		buf := make([]values.Value, lw+rw)
 		if err := l.run(func(b *vec.Batch) error {
 			n := b.Len()

@@ -24,12 +24,16 @@
 // boundaries: interpreted expressions, join build sides, and the
 // monoid-reduce root when no unboxed kernel applies.
 //
-// Scan plugins plug into the batch pipeline through three contracts, in
-// preference order: BatchSource (column vectors, typed fast path),
-// SlotSource (slot rows, packed into boxed batches), and plain
-// algebra.Source (records, exploded into slots). Warm scans of
-// previously-touched fields come from the typed columnar cache, which
-// serves slice windows of its published vectors zero-copy.
+// Scans consume one contract: BatchSource, plus the optional
+// RangeBatchSource for morsel-parallel range scans. ScanBatches is the
+// single entry point: a BatchSource serves its own batches, and a plugin
+// that only offers records (algebra.Source: JSON, arrays, spreadsheets,
+// in-memory views) goes through the one record adapter, which types each
+// column by its schema kind (vec.TagOf) and demotes a batch column to
+// boxed when a value does not fit. The engine's catalog sources
+// implement the contract for every format and harvest each raw scan's
+// batches into the typed columnar cache, so warm scans of previously
+// touched fields are zero-copy slice windows whatever the file format.
 //
 // # Vectorized kernels
 //

@@ -175,8 +175,9 @@ func TestExecutorsOnJoinPlans(t *testing.T) {
 	}
 }
 
-func TestJITUsesSlotSource(t *testing.T) {
-	// A CSV-backed scan must go through IterateSlots (posmap fast path).
+func TestJITUsesPosmapBatchScan(t *testing.T) {
+	// A CSV-backed scan runs on the reader's batches; once the first
+	// scan has built the positional map, the batch scan jumps through it.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "e.csv")
 	content := "id,score\n1,10\n2,20\n3,30\n"

@@ -351,7 +351,7 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 // rows this prober emitted (for the delta-style JoinStats hook); psp
 // accumulates the same count atomically across concurrent probers.
 func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (probe batchSink, pk *vec.Packer, matched *int64) {
-	pk = vec.NewPacker(js.lw+js.rw, js.opts.BatchSize, nil, sink)
+	pk = vec.NewPacker(js.lw+js.rw, js.opts.BatchSize, sink)
 	buf := make([]values.Value, js.lw+js.rw)
 	var hs []uint64
 	var hsValid []bool

@@ -280,13 +280,9 @@ func (sc *staticCtx) launch(p algebra.Plan) <-chan *mcl.Env {
 		}
 		go sc.runGenerate(n, in, out)
 	case *algebra.Product:
-		l := sc.launch(n.L)
-		r := sc.launch(n.R)
-		go sc.runProduct(n, l, r, out)
+		go sc.runProduct(n, sc.launch(n.R), out)
 	case *algebra.Join:
-		l := sc.launch(n.L)
-		r := sc.launch(n.R)
-		go sc.runJoin(n, l, r, out)
+		go sc.runJoin(n, sc.launch(n.R), out)
 	default:
 		go func() {
 			defer close(out)
@@ -394,13 +390,18 @@ func (sc *staticCtx) runGenerate(n *algebra.Generate, in <-chan *mcl.Env, out ch
 	}
 }
 
-func (sc *staticCtx) runProduct(n *algebra.Product, l, r <-chan *mcl.Env, out chan<- *mcl.Env) {
+// runProduct drains the right input before launching the left one, like
+// runJoin: two scans of one cold source must not run at once, because the
+// first would hold the source's first-touch build while blocked on a
+// channel nobody reads yet.
+func (sc *staticCtx) runProduct(n *algebra.Product, r <-chan *mcl.Env, out chan<- *mcl.Env) {
 	defer close(out)
 	rVars := algebra.BoundVars(n.R)
 	var right []*mcl.Env
 	for env := range r {
 		right = append(right, env)
 	}
+	l := sc.launch(n.L)
 	for lenv := range l {
 		for _, renv := range right {
 			env := lenv
@@ -419,7 +420,9 @@ done:
 	}
 }
 
-func (sc *staticCtx) runJoin(n *algebra.Join, l, r <-chan *mcl.Env, out chan<- *mcl.Env) {
+// runJoin builds its hash table from the right input, then launches and
+// probes with the left one (see runProduct for why not both at once).
+func (sc *staticCtx) runJoin(n *algebra.Join, r <-chan *mcl.Env, out chan<- *mcl.Env) {
 	defer close(out)
 	rVars := algebra.BoundVars(n.R)
 	type bucket struct {
@@ -465,6 +468,7 @@ func (sc *staticCtx) runJoin(n *algebra.Join, l, r <-chan *mcl.Env, out chan<- *
 		b.keys = append(b.keys, k)
 		b.envs = append(b.envs, env)
 	}
+	l := sc.launch(n.L)
 	for lenv := range l {
 		k, ok, err := keyOf(lenv, lExprs)
 		if err != nil {

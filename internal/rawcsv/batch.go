@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vida/internal/faultinject"
-	"vida/internal/sdg"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
@@ -19,20 +18,6 @@ import (
 // file bytes into typed slices, with no values.Value boxing anywhere on
 // the path — and arbitrary row ranges can be served concurrently, which
 // is what the JIT's morsel-parallel scheduler partitions over.
-
-// colTag maps a schema kind to its batch column representation.
-func colTag(k sdg.TypeKind) vec.Tag {
-	switch k {
-	case sdg.TInt:
-		return vec.Int64
-	case sdg.TFloat:
-		return vec.Float64
-	case sdg.TString:
-		return vec.Str
-	default:
-		return vec.Boxed // bools and exotic kinds stay boxed
-	}
-}
 
 // rowConverter is the shared per-row conversion scratch of the
 // vectorized scan loops (full, anchored and range): the caller fills
@@ -125,9 +110,8 @@ func (c *rowConverter) commit(b *vec.Batch) {
 
 // IterateBatches implements the JIT's BatchSource contract. With the
 // positional map built it runs the typed vectorized scan over all rows;
-// on first touch it falls back to the tokenizing full scan (which
-// installs the map as a side effect), packing slot rows into boxed
-// batches.
+// on first touch it runs the tokenizing full scan, which fills the same
+// typed vectors and installs the map as a side effect.
 func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
 	cols, err := r.resolveFields(fields)
 	if err != nil {
@@ -230,7 +214,7 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	}
 	tags := make([]vec.Tag, len(cols))
 	for i, j := range cols {
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
+		tags[i] = vec.TagOf(r.rowType.Attrs[j].Type.Kind)
 	}
 	b := vec.NewTyped(tags, min(batchSize, len(snap.Rows)))
 
@@ -372,7 +356,7 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 	}
 	tags := make([]vec.Tag, len(cols))
 	for i, j := range cols {
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
+		tags[i] = vec.TagOf(r.rowType.Attrs[j].Type.Kind)
 	}
 	b := vec.NewTyped(tags, min(batchSize, 128))
 
@@ -527,7 +511,7 @@ func (r *Reader) openRangeCols(st *fileState, cols []int) (func(lo, hi, batchSiz
 	tags := make([]vec.Tag, len(cols))
 	for i, j := range cols {
 		starts[i], ends[i] = snap.Cols[j], snap.Ends[j]
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
+		tags[i] = vec.TagOf(r.rowType.Attrs[j].Type.Kind)
 	}
 	data := st.data
 	rows := snap.Rows

@@ -209,7 +209,9 @@ func registerGate(t testing.TB, eng *vida.Engine, name string) *gateSource {
 func TestAdmissionLimitReturns429(t *testing.T) {
 	eng := newTestEngine(t, nil)
 	gate := registerGate(t, eng, "Gate")
-	svc := serve.NewService(eng, nil, serve.Config{MaxInFlight: 1})
+	// No queue: a request finding the only slot taken is shed at once
+	// instead of waiting out the default deadline first.
+	svc := serve.NewService(eng, nil, serve.Config{MaxInFlight: 1, MaxQueue: -1})
 	ts := httptest.NewServer(serve.NewServer(svc).Handler())
 	defer ts.Close()
 
@@ -221,10 +223,14 @@ func TestAdmissionLimitReturns429(t *testing.T) {
 	}()
 	<-gate.entered
 
-	// The slot is taken: the next query must be shed with 429.
+	// The slot is taken: the next query must be shed with 429, promptly.
+	start := time.Now()
 	code, body := postQuery(t, ts.URL, "/query", "for { p <- Patients } yield count p")
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%v), want 429", code, body)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("429 took %v, want an immediate shed", waited)
 	}
 
 	close(gate.release)
@@ -395,7 +401,7 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 func TestCachedResultServedWhileSaturated(t *testing.T) {
 	eng := newTestEngine(t, nil)
 	gate := registerGate(t, eng, "Gate")
-	svc := serve.NewService(eng, nil, serve.Config{MaxInFlight: 1})
+	svc := serve.NewService(eng, nil, serve.Config{MaxInFlight: 1, MaxQueue: -1})
 	ts := httptest.NewServer(serve.NewServer(svc).Handler())
 	defer ts.Close()
 
@@ -409,9 +415,14 @@ func TestCachedResultServedWhileSaturated(t *testing.T) {
 		close(firstDone)
 	}()
 	<-gate.entered
-	// Saturated: a fresh query is shed, but the cached one still serves.
+	// Saturated: a fresh query is shed at once, but the cached one still
+	// serves.
+	start := time.Now()
 	if code, _ := postQuery(t, ts.URL, "/query", "for { p <- Patients } yield sum p.age"); code != http.StatusTooManyRequests {
 		t.Fatalf("fresh query not shed while saturated: %d", code)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("429 took %v, want an immediate shed", waited)
 	}
 	code, out := postQuery(t, ts.URL, "/query", warmQ)
 	if code != http.StatusOK || out["cached"] != true {

@@ -54,7 +54,7 @@ func (cb *ColBuilder) Append(src *Col, b *Batch) {
 		}
 	}
 	if srcTag != cb.col.Tag {
-		cb.boxify()
+		cb.col.Demote()
 	}
 	if cb.col.Tag == Boxed {
 		for k := 0; k < n; k++ {
@@ -102,33 +102,6 @@ func (cb *ColBuilder) Append(src *Col, b *Batch) {
 			cb.col.AppendStr(src.StrAt(i))
 		}
 	}
-}
-
-// AppendValue boxes one row into the builder, demoting a typed column.
-// Row-at-a-time harvest paths (slot sources) use it.
-func (cb *ColBuilder) AppendValue(v values.Value) {
-	if !cb.decided {
-		cb.decided = true
-		cb.col.Tag = Boxed
-		cb.col.Boxed = make([]values.Value, 0, cb.hint)
-	}
-	if cb.col.Tag != Boxed {
-		cb.boxify()
-	}
-	cb.col.Boxed = append(cb.col.Boxed, v)
-}
-
-// boxify converts the accumulated typed payload to boxed values.
-func (cb *ColBuilder) boxify() {
-	if cb.col.Tag == Boxed {
-		return
-	}
-	n := cb.col.Len()
-	boxed := make([]values.Value, n)
-	for i := 0; i < n; i++ {
-		boxed[i] = cb.col.Value(i)
-	}
-	cb.col = Col{Tag: Boxed, Boxed: boxed}
 }
 
 // Finish returns the accumulated column. The builder must not be used

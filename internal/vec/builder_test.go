@@ -3,6 +3,7 @@ package vec
 import (
 	"testing"
 
+	"vida/internal/sdg"
 	"vida/internal/values"
 )
 
@@ -82,13 +83,48 @@ func TestColBuilderMixedTagFallsBackToBoxed(t *testing.T) {
 	}
 }
 
-func TestColBuilderAppendValueDemotes(t *testing.T) {
-	cb := NewColBuilder(0)
-	cb.Append(&intBatch(7).Cols[0], intBatch(7))
-	cb.AppendValue(values.NewString("s"))
-	col := cb.Finish()
-	if col.Tag != Boxed || col.Len() != 2 || col.Boxed[1].Str() != "s" {
-		t.Fatalf("col = %+v", col)
+func TestColAppendValueDemotes(t *testing.T) {
+	c := Col{Tag: Int64}
+	c.AppendValue(values.NewInt(7))
+	c.AppendValue(values.Null)
+	if c.Tag != Int64 || c.Len() != 2 || c.Nulls == nil || !c.Nulls[1] {
+		t.Fatalf("fitting values must stay typed (null masked): %+v", c)
+	}
+	c.AppendValue(values.NewString("s"))
+	if c.Tag != Boxed || c.Len() != 3 {
+		t.Fatalf("a misfit must demote the column: %+v", c)
+	}
+	if c.Boxed[0].Int() != 7 || !c.Boxed[1].IsNull() || c.Boxed[2].Str() != "s" {
+		t.Fatalf("demotion changed values: %v", c.Boxed)
+	}
+	f := Col{Tag: Float64}
+	f.AppendValue(values.NewInt(1)) // ints do not fit a float column
+	if f.Tag != Boxed || f.Boxed[0].Kind() != values.KindInt {
+		t.Fatalf("int into float column = %+v", f)
+	}
+}
+
+func TestTagOf(t *testing.T) {
+	for k, want := range map[sdg.TypeKind]Tag{
+		sdg.TInt: Int64, sdg.TFloat: Float64, sdg.TString: Str, sdg.TBool: Boxed, sdg.TRecord: Boxed,
+	} {
+		if got := TagOf(k); got != want {
+			t.Errorf("TagOf(%v) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+func TestBatchRecordsFollowSelection(t *testing.T) {
+	b := &Batch{Cols: []Col{{Tag: Int64, Ints: []int64{1, 2, 3}}, {Tag: Str, Strs: []string{"a", "b", "c"}}}, N: 3, Sel: []int{0, 2}}
+	var got []string
+	if err := b.Records([]string{"i", "s"}, func(v values.Value) error {
+		got = append(got, v.String())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != `(i := 1, s := "a")` || got[1] != `(i := 3, s := "c")` {
+		t.Fatalf("records = %v", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package vec
 
-import "vida/internal/values"
+import (
+	"vida/internal/sdg"
+	"vida/internal/values"
+)
 
 // DefaultBatchSize is the default number of rows per pipeline batch.
 const DefaultBatchSize = 1024
@@ -38,6 +41,22 @@ func (t Tag) String() string {
 		return "strdict"
 	default:
 		return "tag(?)"
+	}
+}
+
+// TagOf maps a schema kind to the column representation scans give it:
+// the typed tags for int, float and string attributes, Boxed for bools
+// and every other kind.
+func TagOf(k sdg.TypeKind) Tag {
+	switch k {
+	case sdg.TInt:
+		return Int64
+	case sdg.TFloat:
+		return Float64
+	case sdg.TString:
+		return Str
+	default:
+		return Boxed
 	}
 }
 
@@ -198,9 +217,41 @@ func (c *Col) AppendStr(v string) {
 	}
 }
 
-// AppendValue appends a boxed row. The column must be Boxed.
+// AppendValue appends a boxed row, unboxed when it fits the column's
+// tag: a null becomes a masked null row, a value of the tag's kind its
+// payload. Any other value demotes the column to Boxed first, so a
+// column typed from an inaccurate schema costs speed, never answers.
 func (c *Col) AppendValue(v values.Value) {
+	switch {
+	case v.IsNull():
+		c.AppendNull()
+		return
+	case c.Tag == Int64 && v.Kind() == values.KindInt:
+		c.AppendInt(v.Int())
+		return
+	case c.Tag == Float64 && v.Kind() == values.KindFloat:
+		c.AppendFloat(v.Float())
+		return
+	case c.Tag == Str && v.Kind() == values.KindString:
+		c.AppendStr(v.Str())
+		return
+	}
+	c.Demote()
 	c.Boxed = append(c.Boxed, v)
+}
+
+// Demote converts the column's payload to boxed values in place (a
+// no-op on a Boxed column).
+func (c *Col) Demote() {
+	if c.Tag == Boxed {
+		return
+	}
+	n := c.Len()
+	boxed := make([]values.Value, n)
+	for i := 0; i < n; i++ {
+		boxed[i] = c.Value(i)
+	}
+	*c = Col{Tag: Boxed, Boxed: boxed}
 }
 
 // AppendNull appends a null row to a column of any tag, materializing the
@@ -413,22 +464,36 @@ func (b *Batch) AppendRow(row []values.Value) {
 	b.N++
 }
 
+// Records boxes each live row of b into a record of the named fields —
+// the column-to-record boundary for callers of the record contract.
+func (b *Batch) Records(fields []string, yield func(values.Value) error) error {
+	for k := 0; k < b.Len(); k++ {
+		row := b.Index(k)
+		rec := make([]values.Field, len(fields))
+		for i, f := range fields {
+			rec[i] = values.Field{Name: f, Val: b.Cols[i].Value(row)}
+		}
+		if err := yield(values.NewRecord(rec...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Packer accumulates rows into a reused boxed batch and emits it to Sink
-// when full (and on Flush), optionally refining the selection through
-// Filter first. It adapts row-at-a-time producers — slot sources, record
-// sources, exploding operators — to the batch pipeline.
+// when full (and on Flush). It adapts row-exploding operators (products,
+// joins, unnests) to the batch pipeline.
 type Packer struct {
-	b      Batch
-	size   int
-	filter func(*Batch) error // may be nil
-	sink   func(*Batch) error
+	b    Batch
+	size int
+	sink func(*Batch) error
 }
 
 // NewPacker returns a packer of width boxed columns emitting batches of
 // up to size rows. Column capacity is pre-allocated modestly; steady
 // state reuses the storage across flushes.
-func NewPacker(width, size int, filter, sink func(*Batch) error) *Packer {
-	p := &Packer{size: size, filter: filter, sink: sink}
+func NewPacker(width, size int, sink func(*Batch) error) *Packer {
+	p := &Packer{size: size, sink: sink}
 	p.b.Cols = make([]Col, width)
 	cap := min(size, 128)
 	for i := range p.b.Cols {
@@ -453,16 +518,7 @@ func (p *Packer) Flush() error {
 	if p.b.N == 0 {
 		return nil
 	}
-	p.b.Sel = nil
-	if p.filter != nil {
-		if err := p.filter(&p.b); err != nil {
-			return err
-		}
-	}
-	var err error
-	if p.b.Len() > 0 {
-		err = p.sink(&p.b)
-	}
+	err := p.sink(&p.b)
 	p.b.Reset()
 	return err
 }

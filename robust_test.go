@@ -7,6 +7,9 @@ package vida_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +159,39 @@ func TestGlobalBudgetShedsHarvestNotQueries(t *testing.T) {
 	}
 	if res.Value().String() != res2.Value().String() {
 		t.Fatalf("unharvested rescan drifted: %v vs %v", res.Value(), res2.Value())
+	}
+
+	// A record plugin (JSON with a typed schema) harvests through the same
+	// budgeted path: its harvest is shed too, and the cache stays under
+	// the budget.
+	var js strings.Builder
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&js, `{"id": %d, "age": %d, "income": %d.5}`+"\n", i, 20+i%60, i)
+	}
+	path := filepath.Join(t.TempDir(), "typed.json")
+	if err := os.WriteFile(path, []byte(js.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterJSON("Typed", path, "Record(Att(id, int), Att(age, int), Att(income, float))"); err != nil {
+		t.Fatal(err)
+	}
+	skips := eng.Stats().Memory.HarvestSkips
+	res3, err := eng.Query("for { r <- Typed, r.income > 100.0 } yield sum (r.id * 2 + r.age)")
+	if err != nil {
+		t.Fatalf("cold JSON scan under tiny global budget: %v", err)
+	}
+	if res3.Value().Int() == 0 {
+		t.Fatal("empty JSON result")
+	}
+	st := eng.Stats()
+	if st.Memory.HarvestSkips <= skips {
+		t.Fatalf("JSON harvest not shed under a 16KiB global budget: %+v", st.Memory)
+	}
+	if st.Cache.BytesUsed > 16<<10 {
+		t.Fatalf("cache holds %d bytes under a 16KiB global budget", st.Cache.BytesUsed)
+	}
+	if st.Memory.QueryKills != 0 {
+		t.Fatalf("query killed instead of harvest shed: %+v", st.Memory)
 	}
 }
 
