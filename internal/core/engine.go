@@ -93,10 +93,6 @@ type Options struct {
 	// which is how benchmarks pin serial and parallel plans to the same
 	// pool.
 	Workers int
-	// JoinPartitions overrides the radix partition count of the
-	// parallel hash-join build (0 = jit default; rounded up to a power
-	// of two).
-	JoinPartitions int
 	// NoExprKernels disables the JIT's vectorized arithmetic/projection
 	// kernels (row-wise fallback) — an A/B switch for benchmarks and
 	// fallback-equivalence tests, not for production use.
@@ -1369,12 +1365,17 @@ func (e *Engine) execPlan(ctx context.Context, mode ExecMode, plan *algebra.Redu
 	case ModeReference:
 		return algebra.Reference{}.Run(plan, cat)
 	default:
-		opts := jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-			NoExprKernels: e.opts.NoExprKernels, JoinPartitions: e.opts.JoinPartitions,
-			MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
-			GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
-		return jit.Executor{Opts: opts}.RunCtx(ctx, plan, cat)
+		return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunCtx(ctx, plan, cat)
 	}
+}
+
+// jitOptions builds the JIT options of one query run — collect or
+// stream: the engine's scheduler and kernel settings, the query's
+// memory-budget charge and span, and the always-on counter hooks.
+func (e *Engine) jitOptions(qm *queryMem, sp *trace.Span) jit.Options {
+	return jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
+		NoExprKernels: e.opts.NoExprKernels, MemReserve: qm.reserveFunc(), Trace: sp,
+		KernelStats: e.kernelStatsFn, GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
 }
 
 // Plan returns the optimized plan (EXPLAIN).

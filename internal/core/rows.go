@@ -149,11 +149,7 @@ func (e *Engine) runStream(ctx context.Context, plan *algebra.Reduce, cat jit.Sc
 			err = perr
 		}
 	}()
-	opts := jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-		NoExprKernels: e.opts.NoExprKernels, JoinPartitions: e.opts.JoinPartitions,
-		MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
-		GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
-	return jit.Executor{Opts: opts}.RunStream(ctx, plan, cat, emit)
+	return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunStream(ctx, plan, cat, emit)
 }
 
 // materializedRows wraps an already-computed result value as a cursor:

@@ -132,8 +132,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 disables parallelism).
 	Workers int
 	// ParallelThreshold is the minimum partitionable row count before a
-	// scan goes parallel (default DefaultParallelThreshold). Small scans
-	// are not worth the goroutine fan-out.
+	// fold — reduce, top-k, stream, group-by or join build — goes
+	// parallel (default DefaultParallelThreshold). Small scans are not
+	// worth the fan-out.
 	ParallelThreshold int
 	// Pool is the morsel scheduler executing parallel scans (default
 	// sched.Default(), the process-wide shared pool). A query server
@@ -177,10 +178,6 @@ type Options struct {
 	// capped at maxJoinPartitions). One partition degenerates to a
 	// single shared chain table.
 	JoinPartitions int
-	// JoinBuildThreshold is the minimum build-side row count before a
-	// join build scans morsel-parallel (default ParallelThreshold):
-	// small build sides are not worth the fan-out.
-	JoinBuildThreshold int
 	// JoinStats, when non-nil, receives delta-style join-fold tallies:
 	// one call per sealed build (folds=1 with buildRows entries and
 	// tableBytes resident) and one per completed probe pipeline
@@ -222,9 +219,6 @@ func (o Options) withDefaults() Options {
 		p *= 2
 	}
 	o.JoinPartitions = p
-	if o.JoinBuildThreshold <= 0 {
-		o.JoinBuildThreshold = o.ParallelThreshold
-	}
 	return o
 }
 
@@ -242,10 +236,7 @@ type compiler struct {
 
 // reportKernels publishes the staging tally to the options hooks once
 // compilation succeeded.
-func (c *compiler) reportKernels(prog func() (values.Value, error), err error) (func() (values.Value, error), error) {
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) reportKernels() {
 	if c.opts.KernelStats != nil {
 		c.opts.KernelStats(c.vecStages, c.boxedStages)
 	}
@@ -254,7 +245,33 @@ func (c *compiler) reportKernels(prog func() (values.Value, error), err error) (
 		sp.SetAttr("kernels_boxed", c.boxedStages)
 		sp.SetAttr("boxed_fallback", c.boxedStages > 0)
 	}
-	return prog, nil
+}
+
+// prepare is the compile prelude both execution modes share: compiler
+// setup, free-source materialization, the input pipeline and — for a
+// grouped reduce — the hash-aggregation stage. The input subtree then
+// folds into the group table once (single scan), and the returned root
+// runs over group rows with the grouping clause stripped: Pred is
+// HAVING, Order/Limit rank groups.
+func (c *compiler) prepare(p *algebra.Reduce, cat algebra.Catalog, opts Options) (*algebra.Reduce, *compiledPlan, error) {
+	c.cat, c.opts = cat, opts.withDefaults()
+	c.schemas, _ = cat.(SchemaCatalog)
+	env, err := c.materializeFreeSources(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.baseEnv = env
+	input, err := c.compilePlan(p.Input)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.Grouped() {
+		if input, err = c.compileGroupAgg(p, input); err != nil {
+			return nil, nil, err
+		}
+		p = shadowGrouped(p)
+	}
+	return p, input, nil
 }
 
 // Executor is the just-in-time engine. The zero value is ready to use
@@ -266,11 +283,7 @@ type Executor struct {
 // Run implements algebra.Executor: it generates the specialized pipeline
 // for this exact plan ("database as a query") and runs it.
 func (e Executor) Run(p *algebra.Reduce, cat algebra.Catalog) (values.Value, error) {
-	prog, err := CompileWith(p, cat, e.Opts)
-	if err != nil {
-		return values.Null, err
-	}
-	return prog()
+	return e.RunCtx(e.Opts.Ctx, p, cat)
 }
 
 // RunCtx is Run with a cancellation context: the morsel scheduler stops
@@ -285,11 +298,6 @@ func (e Executor) RunCtx(ctx context.Context, p *algebra.Reduce, cat algebra.Cat
 	return prog()
 }
 
-// Compile stages the plan into an executable program with default options.
-func Compile(p *algebra.Reduce, cat algebra.Catalog) (func() (values.Value, error), error) {
-	return CompileWith(p, cat, Options{})
-}
-
 // CompileWith stages the plan into an executable program. Compilation is
 // the reproduction's analogue of the paper's per-query code generation:
 // all schema resolution, slot layout, plugin selection and operator
@@ -299,75 +307,59 @@ func Compile(p *algebra.Reduce, cat algebra.Catalog) (func() (values.Value, erro
 // ranges, executes the scan morsel-parallel with per-worker partial
 // aggregates merged in morsel order at the root reduce.
 func CompileWith(p *algebra.Reduce, cat algebra.Catalog, opts Options) (func() (values.Value, error), error) {
-	opts = opts.withDefaults()
-	c := &compiler{cat: cat, opts: opts}
-	if sc, ok := cat.(SchemaCatalog); ok {
-		c.schemas = sc
-	}
-	env, err := c.materializeFreeSources(p)
+	c := &compiler{}
+	p, input, err := c.prepare(p, cat, opts)
 	if err != nil {
 		return nil, err
-	}
-	c.baseEnv = env
-
-	input, err := c.compilePlan(p.Input)
-	if err != nil {
-		return nil, err
-	}
-	// Grouped reduces interpose the hash-aggregation stage: the input
-	// subtree folds into the group table once (single scan), and the
-	// root consumers below run over group rows with the grouping clause
-	// stripped — Pred is HAVING, Order/Limit rank groups.
-	if p.Grouped() {
-		input, err = c.compileGroupAgg(p, input)
-		if err != nil {
-			return nil, err
-		}
-		p = shadowGrouped(p)
 	}
 	// Ordered and bounded roots replace the monoid collector: sort keys
 	// turn the fold into a keyed top-k, a bare LIMIT/OFFSET routes
 	// through the streaming quota (early producer cancellation) and
 	// collects the surviving rows.
-	if p.Order.Ordered() {
-		return c.reportKernels(c.compileOrdered(p, input))
+	var prog func() (values.Value, error)
+	switch {
+	case p.Order.Ordered():
+		var topk func() ([]values.Value, error)
+		topk, err = c.compileTopK(p, input)
+		prog = func() (values.Value, error) {
+			elems, err := topk()
+			if err != nil {
+				return values.Null, err
+			}
+			return values.NewList(elems...), nil
+		}
+	case p.Order != nil:
+		prog, err = c.compileBareBound(p, input)
+	default:
+		prog, err = c.compileReduce(p, input)
 	}
-	if p.Order != nil {
-		return c.reportKernels(c.compileBareBound(p, input))
+	if err != nil {
+		return nil, err
 	}
+	c.reportKernels()
+	return prog, nil
+}
+
+// compileReduce stages the monoid-reduce root in collect mode.
+func (c *compiler) compileReduce(p *algebra.Reduce, input *compiledPlan) (func() (values.Value, error), error) {
 	mkCons, err := c.compileReduceConsumer(p, input)
 	if err != nil {
 		return nil, err
 	}
-	m := p.M
-	return c.reportKernels(func() (values.Value, error) {
-		if opts.Workers > 1 && input.openRange != nil {
-			if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-				sp := opts.Trace.Child("fold")
-				sp.SetAttr("kind", "reduce")
-				sp.SetAttr("parallel", true)
-				popts := opts
-				popts.Trace = sp
-				v, err := runParallelReduce(popts.Ctx, scan, n, mkCons, m, popts)
-				sp.End()
-				return v, err
-			}
-		}
-		// The fold span wraps the whole serial pipeline run (the scan
-		// feeds the consumer in one closure chain), so its wall time is
-		// inclusive of scan time — phase rollups subtract scan spans.
+	opts := c.opts
+	return func() (values.Value, error) {
+		// The fold span wraps the whole pipeline run (the scan feeds the
+		// consumer in one closure chain), so its wall time is inclusive
+		// of scan time — phase rollups subtract scan spans.
 		sp := opts.Trace.Child("fold")
 		sp.SetAttr("kind", "reduce")
 		defer sp.End()
-		acc := monoid.NewCollector(m)
-		rc := mkCons()
-		rc.reset(acc)
-		if err := input.run(rc.consume); err != nil {
+		acc, _, err := runFold(sp, input, opts, mkCons, mergeCollectors)
+		if err != nil {
 			return values.Null, err
 		}
-		rc.finish()
 		return acc.Result(), nil
-	}, nil)
+	}, nil
 }
 
 // materializeFreeSources loads catalog sources referenced from inside
@@ -442,8 +434,12 @@ func (c *compiler) materializeFreeSources(p algebra.Plan) (*mcl.Env, error) {
 // compileFilter stages a predicate as a batch filter factory: vectorized
 // kernels for the comparison shapes the compiler recognizes, a row-wise
 // boxed fallback otherwise. Each factory call returns a filter with its
-// own scratch, safe for one (serial) run or one morsel worker.
+// own scratch, safe for one (serial) run or one morsel worker. A nil
+// predicate stages no filter (nil factory).
 func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, error) {
+	if e == nil {
+		return nil, nil
+	}
 	if vf := compileVecFilter(e, f, !c.opts.NoExprKernels); vf != nil {
 		c.vecStages++
 		return vf, nil
@@ -476,6 +472,33 @@ func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, erro
 			return nil
 		}
 	}, nil
+}
+
+// compileValue stages a per-row value — a reduce or stream head, a sort
+// key, a grouping key or aggregate input — on the cheapest path that
+// serves it: a slot reference reads its column (slot >= 0), else an
+// expression kernel computes a column per batch (kernel != nil), else a
+// row-wise compiled expression boxes it (expr, the fallback).
+func (c *compiler) compileValue(e mcl.Expr, f *frame) (slot int, kernel func() vecExpr, expr compiledExpr, err error) {
+	if slot = slotOf(e, f); slot >= 0 {
+		return slot, nil, nil, nil
+	}
+	if !c.opts.NoExprKernels {
+		if kernel = compileVecExpr(e, f); kernel != nil {
+			return slot, kernel, nil, nil
+		}
+	}
+	expr, err = c.compileExpr(e, f)
+	return slot, nil, expr, err
+}
+
+// tally counts one staging decision: vectorized or boxed fallback.
+func (c *compiler) tally(boxed bool) {
+	if boxed {
+		c.boxedStages++
+	} else {
+		c.vecStages++
+	}
 }
 
 // fillRow boxes physical row i of b into row, one entry per slot.
@@ -542,34 +565,19 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	for _, fld := range fields {
 		f.add(n.Var, fld)
 	}
-	var mkFilter func() batchFilter
+	// A pushed-down filter is the scan's one stage: the serial run and
+	// the range scan both open it, once per run or morsel.
+	var filter stage
 	if n.Filter != nil {
-		var err error
-		mkFilter, err = c.compileFilter(n.Filter, f)
+		mkFilter, err := c.compileFilter(n.Filter, f)
 		if err != nil {
 			return nil, err
 		}
-	}
-	// filtered wraps sink with a fresh filter instance (one per run or
-	// morsel: filters carry selection scratch).
-	filtered := func(sink batchSink) batchSink {
-		if mkFilter == nil {
-			return sink
-		}
-		flt := mkFilter()
-		return func(b *vec.Batch) error {
-			if err := flt(b); err != nil {
-				return err
-			}
-			if b.Len() == 0 {
-				return nil
-			}
-			return sink(b)
-		}
+		filter = filterStage(mkFilter)
 	}
 	cp := &compiledPlan{frame: f}
 	cp.run = func(sink batchSink) error {
-		return ScanBatches(src, rowType, fields, bs, filtered(sink))
+		return ScanBatches(src, rowType, fields, bs, openFilter(filter, sink))
 	}
 	if rsrc, ok := src.(RangeBatchSource); ok && len(fields) > 0 {
 		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
@@ -578,15 +586,83 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 				return nil, 0, false
 			}
 			return func(lo, hi int, sink batchSink) error {
-				return scan(lo, hi, bs, filtered(sink))
+				return scan(lo, hi, bs, openFilter(filter, sink))
 			}, total, true
 		}
 	}
 	return cp, nil
 }
 
-// compileSelect fuses a filter into the batch stream: no operator
-// boundary, just a selection-vector refinement between producer and sink.
+// stage is one per-row operator — scan filter, Select, Bind, Generate —
+// staged once at compile time. open instantiates it over a downstream
+// sink with its own scratch, for one serial run or one morsel: it
+// returns the sink its input feeds and, for an operator that buffers
+// output (Generate repacks exploded rows), the flusher to drain once
+// the input is exhausted (nil otherwise).
+type stage interface {
+	open(sink batchSink) (batchSink, flusher)
+}
+
+// flusher drains the output an operator still buffers.
+type flusher interface{ Flush() error }
+
+// staged returns the plan of st over in. Its serial run and — when in
+// partitions — its range scan both come from the one stage, so a chain
+// of per-row operators stays partitionable end to end.
+func staged(in *compiledPlan, f *frame, st stage) *compiledPlan {
+	cp := &compiledPlan{frame: f}
+	cp.run = func(sink batchSink) error {
+		s, fl := st.open(sink)
+		if err := in.run(s); err != nil || fl == nil {
+			return err
+		}
+		return fl.Flush()
+	}
+	if in.openRange != nil {
+		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
+			scan, total, ok := in.openRange()
+			if !ok {
+				return nil, 0, false
+			}
+			return func(lo, hi int, sink batchSink) error {
+				s, fl := st.open(sink)
+				if err := scan(lo, hi, s); err != nil || fl == nil {
+					return err
+				}
+				return fl.Flush()
+			}, total, true
+		}
+	}
+	return cp
+}
+
+// filterStage fuses a filter into the batch stream: no operator
+// boundary, just a selection-vector refinement between producer and
+// sink. Batches left empty stop there.
+type filterStage func() batchFilter
+
+func (mk filterStage) open(sink batchSink) (batchSink, flusher) {
+	flt := mk()
+	return func(b *vec.Batch) error {
+		if err := flt(b); err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			return nil
+		}
+		return sink(b)
+	}, nil
+}
+
+// openFilter opens an optional filter stage over sink.
+func openFilter(filter stage, sink batchSink) batchSink {
+	if filter == nil {
+		return sink
+	}
+	sink, _ = filter.open(sink)
+	return sink
+}
+
 func (c *compiler) compileSelect(n *algebra.Select) (*compiledPlan, error) {
 	in, err := c.compilePlan(n.Input)
 	if err != nil {
@@ -596,45 +672,65 @@ func (c *compiler) compileSelect(n *algebra.Select) (*compiledPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &compiledPlan{frame: in.frame}
-	cp.run = func(sink batchSink) error {
-		flt := mkFilter()
-		return in.run(func(b *vec.Batch) error {
-			if err := flt(b); err != nil {
-				return err
-			}
-			if b.Len() == 0 {
-				return nil
-			}
-			return sink(b)
-		})
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				flt := mkFilter()
-				return scan(lo, hi, func(b *vec.Batch) error {
-					if err := flt(b); err != nil {
-						return err
-					}
-					if b.Len() == 0 {
-						return nil
-					}
-					return sink(b)
-				})
-			}, total, true
-		}
-	}
-	return cp, nil
+	return staged(in, in.frame, filterStage(mkFilter)), nil
 }
 
-// compileBind extends each batch with one computed column. Column storage
-// of the input batch is shared (headers copied, payloads untouched); only
-// the extension column is materialized, at the rows' physical indices.
+// bindStage extends each batch with one computed column. Column storage
+// of the input batch is shared (headers copied, payloads untouched);
+// only the extension column is materialized, at the rows' physical
+// indices.
+type bindStage struct {
+	kernel  func() vecExpr // nil: row-wise boxed evaluation of e
+	e       compiledExpr
+	inWidth int
+}
+
+func (st *bindStage) open(sink batchSink) (batchSink, flusher) {
+	var out vec.Batch
+	if st.kernel != nil {
+		// Projection kernel: the extension column is computed typed per
+		// batch (int64/float64 payloads when the inputs are), so
+		// downstream filters and aggregates over the bound variable stay
+		// on the unboxed fast paths. The kernel owns the column storage,
+		// so the extended batch is never zero-copy-stable.
+		k := st.kernel()
+		return func(b *vec.Batch) error {
+			col, err := k(b)
+			if err != nil {
+				return err
+			}
+			out.Cols = append(out.Cols[:0], b.Cols...)
+			out.Cols = append(out.Cols, *col)
+			out.N = b.N
+			out.Sel = b.Sel
+			return sink(&out)
+		}, nil
+	}
+	row := make([]values.Value, st.inWidth)
+	var ext []values.Value
+	return func(b *vec.Batch) error {
+		if cap(ext) < b.N {
+			ext = make([]values.Value, b.N)
+		}
+		ext = ext[:b.N]
+		n := b.Len()
+		for k := 0; k < n; k++ {
+			i := b.Index(k)
+			fillRow(b, i, row)
+			v, err := st.e(row)
+			if err != nil {
+				return err
+			}
+			ext[i] = v
+		}
+		out.Cols = append(out.Cols[:0], b.Cols...)
+		out.Cols = append(out.Cols, vec.Col{Tag: vec.Boxed, Boxed: ext})
+		out.N = b.N
+		out.Sel = b.Sel
+		return sink(&out)
+	}, nil
+}
+
 func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	in, err := c.compilePlan(n.Input)
 	if err != nil {
@@ -642,89 +738,59 @@ func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	}
 	f := in.frame.clone()
 	f.add(n.Var, "")
-	var mkKernel func() vecExpr
+	st := &bindStage{inWidth: in.frame.width()}
 	if !c.opts.NoExprKernels {
-		mkKernel = compileVecExpr(n.E, in.frame)
+		st.kernel = compileVecExpr(n.E, in.frame)
 	}
-	var e compiledExpr
-	if mkKernel == nil {
-		c.boxedStages++
-		e, err = c.compileExpr(n.E, in.frame)
-		if err != nil {
+	c.tally(st.kernel == nil)
+	if st.kernel == nil {
+		if st.e, err = c.compileExpr(n.E, in.frame); err != nil {
 			return nil, err
 		}
-	} else {
-		c.vecStages++
 	}
-	inWidth := in.frame.width()
-	mkExtend := func() func(b *vec.Batch, emit batchSink) error {
-		var out vec.Batch
-		if mkKernel != nil {
-			// Projection kernel: the extension column is computed typed
-			// per batch (int64/float64 payloads when the inputs are), so
-			// downstream filters and aggregates over the bound variable
-			// stay on the unboxed fast paths. The kernel owns the column
-			// storage, so the extended batch is never zero-copy-stable.
-			k := mkKernel()
-			return func(b *vec.Batch, emit batchSink) error {
-				col, err := k(b)
-				if err != nil {
-					return err
-				}
-				out.Cols = append(out.Cols[:0], b.Cols...)
-				out.Cols = append(out.Cols, *col)
-				out.N = b.N
-				out.Sel = b.Sel
-				return emit(&out)
-			}
-		}
-		row := make([]values.Value, inWidth)
-		var ext []values.Value
-		return func(b *vec.Batch, emit batchSink) error {
-			if cap(ext) < b.N {
-				ext = make([]values.Value, b.N)
-			}
-			ext = ext[:b.N]
-			n := b.Len()
-			for k := 0; k < n; k++ {
-				i := b.Index(k)
-				fillRow(b, i, row)
-				v, err := e(row)
-				if err != nil {
-					return err
-				}
-				ext[i] = v
-			}
-			out.Cols = append(out.Cols[:0], b.Cols...)
-			out.Cols = append(out.Cols, vec.Col{Tag: vec.Boxed, Boxed: ext})
-			out.N = b.N
-			out.Sel = b.Sel
-			return emit(&out)
-		}
-	}
-	cp := &compiledPlan{frame: f}
-	cp.run = func(sink batchSink) error {
-		extend := mkExtend()
-		return in.run(func(b *vec.Batch) error { return extend(b, sink) })
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				extend := mkExtend()
-				return scan(lo, hi, func(b *vec.Batch) error { return extend(b, sink) })
-			}, total, true
-		}
-	}
-	return cp, nil
+	return staged(in, f, st), nil
 }
 
-// compileGenerate explodes a collection-valued expression: each input row
+// generateStage explodes a collection-valued expression: each input row
 // repeats once per element, with the element bound in the new slot. The
-// output is repacked into boxed batches (explosion changes cardinality).
+// output is repacked into boxed batches (explosion changes
+// cardinality), so the packer is the stage's flusher.
+type generateStage struct {
+	e                 compiledExpr
+	inWidth, outWidth int
+	batchSize         int
+}
+
+func (st *generateStage) open(sink batchSink) (batchSink, flusher) {
+	p := vec.NewPacker(st.outWidth, st.batchSize, sink)
+	buf := make([]values.Value, st.outWidth)
+	row := buf[:st.inWidth]
+	return func(b *vec.Batch) error {
+		n := b.Len()
+		for k := 0; k < n; k++ {
+			i := b.Index(k)
+			fillRow(b, i, row)
+			coll, err := st.e(row)
+			if err != nil {
+				return err
+			}
+			if coll.IsNull() {
+				continue
+			}
+			if !coll.IsCollection() && coll.Kind() != values.KindArray {
+				return fmt.Errorf("jit: generate over %s", coll.Kind())
+			}
+			for _, el := range coll.Elems() {
+				buf[st.inWidth] = el
+				if err := p.Add(buf); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}, p
+}
+
 func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	in, err := c.compilePlan(n.Input)
 	if err != nil {
@@ -736,62 +802,8 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	inWidth := in.frame.width()
-	outWidth := f.width()
-	bs := c.opts.BatchSize
-	mkExplode := func(sink batchSink) (func(b *vec.Batch) error, *vec.Packer) {
-		p := vec.NewPacker(outWidth, bs, sink)
-		buf := make([]values.Value, outWidth)
-		row := buf[:inWidth]
-		return func(b *vec.Batch) error {
-			n := b.Len()
-			for k := 0; k < n; k++ {
-				i := b.Index(k)
-				fillRow(b, i, row)
-				coll, err := e(row)
-				if err != nil {
-					return err
-				}
-				if coll.IsNull() {
-					continue
-				}
-				if !coll.IsCollection() && coll.Kind() != values.KindArray {
-					return fmt.Errorf("jit: generate over %s", coll.Kind())
-				}
-				for _, el := range coll.Elems() {
-					buf[inWidth] = el
-					if err := p.Add(buf); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}, p
-	}
-	cp := &compiledPlan{frame: f}
-	cp.run = func(sink batchSink) error {
-		explode, p := mkExplode(sink)
-		if err := in.run(explode); err != nil {
-			return err
-		}
-		return p.Flush()
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				explode, p := mkExplode(sink)
-				if err := scan(lo, hi, explode); err != nil {
-					return err
-				}
-				return p.Flush()
-			}, total, true
-		}
-	}
-	return cp, nil
+	st := &generateStage{e: e, inWidth: in.frame.width(), outWidth: f.width(), batchSize: c.opts.BatchSize}
+	return staged(in, f, st), nil
 }
 
 // copyRows materializes the live rows of a batch stream as boxed slices

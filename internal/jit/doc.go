@@ -83,23 +83,40 @@
 // scope, and the table's growth is charged against the query memory
 // budget.
 //
-// # Morsel-parallel scans
+// # Morsel-parallel folds
 //
-// When the access path can serve arbitrary row ranges (RangeBatchSource —
-// the CSV plugin over a built positional map, columnar cache entries) and
-// the operator chain above it is per-row independent (scan, select, bind,
-// generate), the root reduce runs the scan morsel-parallel: the row range
-// is split into morsels handed out to Options.Workers workers, each
-// worker drives a thread-local clone of the staged pipeline, and the
-// per-morsel partial aggregates are merged at the root in morsel order.
-// Merging partials with the monoid's associative ⊕ keeps results exactly
-// equal to the serial fold, including for the non-commutative list
-// monoid. Sources below Options.ParallelThreshold rows stay serial.
+// Every fold — the monoid reduce, the keyed top-k, the plain and
+// bare-LIMIT streams, the grouped hash aggregate and the hash-join
+// build — runs through one driver, runFold (parallel.go). Each fold
+// kind is a folder: per-run scratch that folds batches into a partial
+// (a Collector, a TopKAcc, a group table, a join partial, or nothing
+// for a stream). The per-row operators below a fold (scan filter,
+// select, bind, generate) are each staged once as a stage whose open
+// serves both the serial run and the range scan, so a chain of them
+// over a RangeBatchSource (the CSV plugin over a built positional map,
+// columnar cache entries) stays partitionable. The driver goes
+// parallel when Options.Workers > 1, the input opens a row range and
+// the range holds at least Options.ParallelThreshold rows; it splits
+// the range into morsels of max(BatchSize, ⌈n/4W⌉) rows, runs them as
+// one job on the shared scheduler pool, and keeps three rules:
+//
+//   - openRange runs on the query goroutine before any morsel is
+//     dispatched, so a join's eager index build never nests Pool.Run
+//     inside a pool worker.
+//   - Partials merge at the root in morsel order. Merging with the
+//     monoid's associative ⊕ keeps results exactly equal to the serial
+//     fold, including for the non-commutative list monoid.
+//   - Only commutative stream roots (bag, set) emit from their workers
+//     in completion order; a list stream runs serially.
+//
+// The fold span records parallel, and morsels and workers when the
+// fold went parallel (for the join build, its join_build span).
 //
 // # Partitioned parallel hash join
 //
 // Equi-joins (join.go) extend the same morsel machinery to both join
-// sides. The build side scans morsel-parallel: each morsel hashes its
+// sides. The build side is a fold through the same driver: each morsel
+// hashes its
 // key column with the join-key kernels, radix-partitions rows by the
 // top hash bits into Options.JoinPartitions private chunks (null keys
 // dropped — NULL = NULL never matches), and retains the batch,
@@ -111,29 +128,30 @@
 // produce output byte-identical to the serial join for any worker or
 // partition count (pinned by the differential fuzzer in
 // join_diff_test.go). Retained batches and index arrays charge the
-// query memory budget; builds under Options.JoinBuildThreshold rows
-// stay serial over an identical index layout. The join traces as a
-// fold span (kind=join) with join_build/join_seal/join_probe children.
+// query memory budget; builds under Options.ParallelThreshold rows stay
+// serial over an identical index layout. The join traces as a fold span
+// (kind=join) with join_build/join_seal/join_probe children.
 //
 // # Pull-sink streaming mode
 //
 // Collection-rooted plans (list/bag/set reduces) have a second execution
-// mode next to collect-into-a-Collector: CompileStream stages the same
-// pipeline but replaces the root reduceConsumer with a streamConsumer
-// that evaluates the head per live row and emits fixed-size chunks of
-// head values to a caller-supplied StreamSink. Nothing above the root
-// changes — the same scan plugins, vectorized filters and frames serve
-// both modes. The sink owns each emitted chunk, so a cursor layer can
-// hand chunks across a bounded channel without copying; backpressure
-// from a slow consumer blocks the producer inside emit, which keeps
-// resident memory at O(channel capacity × chunk size) regardless of
-// result cardinality, and gives first-row latency independent of total
-// result size. For the commutative bag and set monoids, large
-// partitionable scans stream morsel-parallel with workers emitting
-// chunks in completion order; the non-commutative list monoid streams
-// serially so element order matches the collect mode exactly. Scalar
-// aggregates keep the collect mode: their value is only known after the
-// full fold, so there is nothing to stream.
+// mode next to collect-into-a-Collector. CompileStream and CompileWith
+// share one prelude (compiler setup, free-source materialization,
+// group-agg interposition) and every stage below the root; only the
+// root differs: a streamConsumer evaluates the head per live row and
+// emits fixed-size chunks of head values to a caller-supplied
+// StreamSink instead of folding into a collector. The sink owns each
+// emitted chunk, so a cursor layer can hand chunks across a bounded
+// channel without copying; backpressure from a slow consumer blocks the
+// producer inside emit, which keeps resident memory at O(channel
+// capacity × chunk size) regardless of result cardinality, and gives
+// first-row latency independent of total result size. For the
+// commutative bag and set monoids, large partitionable scans stream
+// morsel-parallel with workers emitting chunks in completion order; the
+// non-commutative list monoid streams serially so element order matches
+// the collect mode exactly. Scalar aggregates keep the collect mode:
+// their value is only known after the full fold, so there is nothing to
+// stream.
 //
 // # ORDER BY / LIMIT / OFFSET pushdown
 //

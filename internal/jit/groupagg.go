@@ -49,25 +49,18 @@ type valGetter func(b *vec.Batch) (*vec.Col, error)
 // mkGetter stages an expression as a valGetter factory; each factory
 // call returns a getter with its own scratch (one per consumer).
 func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
-	if s := slotOf(e, f); s >= 0 {
-		c.vecStages++
+	s, mk, ce, err := c.compileValue(e, f)
+	if err != nil {
+		return nil, err
+	}
+	c.tally(ce != nil)
+	switch {
+	case s >= 0:
 		return func() valGetter {
 			return func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[s], nil }
 		}, nil
-	}
-	if !c.opts.NoExprKernels {
-		if mk := compileVecExpr(e, f); mk != nil {
-			c.vecStages++
-			return func() valGetter {
-				k := mk()
-				return func(b *vec.Batch) (*vec.Col, error) { return k(b) }
-			}, nil
-		}
-	}
-	c.boxedStages++
-	ce, err := c.compileExpr(e, f)
-	if err != nil {
-		return nil, err
+	case mk != nil:
+		return func() valGetter { return valGetter(mk()) }, nil
 	}
 	width := f.width()
 	return func() valGetter {
@@ -412,17 +405,16 @@ func (a *boxedAcc) merge(o groupAcc, remap []int32) {
 func (a *boxedAcc) result(g int) values.Value { return a.cs[g].Result() }
 func (a *boxedAcc) bytes() int64              { return int64(len(a.cs)) * 48 }
 
-// groupConsumer folds pipeline batches into the group table. One
-// consumer serves one serial run or one morsel worker; partial tables
-// merge through absorb in morsel order.
-type groupConsumer struct {
-	nKeys  int
-	keyGet []valGetter
-	aggGet []valGetter
-	aggs   []groupAcc
+// groupTable is the grouped fold's partial: a dense group list
+// (insertion order = first-occurrence order), the open-addressing index
+// over it, and one typed accumulator array per aggregate. Partial
+// tables merge through absorb in morsel order.
+type groupTable struct {
+	nKeys int
+	aggs  []groupAcc
 
-	// Dense group list (insertion order = first-occurrence order) plus
-	// the open-addressing index: slots holds group+1, 0 = empty.
+	// Dense group list plus the open-addressing index: slots holds
+	// group+1, 0 = empty.
 	hashes []uint64
 	keys   []values.Value // boxed key tuples, nKeys per group
 	slots  []int32
@@ -445,6 +437,17 @@ type groupConsumer struct {
 	charged  int64
 	keyBytes int64
 	boxed    int64 // accumulated boxed-accumulator bytes
+}
+
+// groupConsumer folds pipeline batches into its current group table:
+// the grouped fold's folder. Its per-batch scratch carries over between
+// the morsels it serves; start gives it a fresh table.
+type groupConsumer struct {
+	table  *groupTable
+	aggMs  []monoid.Monoid
+	budget func(int64) error // the query's memory-budget charge, or nil
+	keyGet []valGetter
+	aggGet []valGetter
 
 	// Per-batch scratch.
 	hs       []uint64
@@ -454,16 +457,37 @@ type groupConsumer struct {
 	keyCols  []*vec.Col
 }
 
-func (gc *groupConsumer) numGroups() int { return len(gc.hashes) }
+func (gc *groupConsumer) start() *groupTable {
+	t := &groupTable{nKeys: len(gc.keyGet), reserve: gc.budget, aggs: make([]groupAcc, len(gc.aggMs))}
+	for i, m := range gc.aggMs {
+		t.aggs[i] = newGroupAcc(m)
+	}
+	gc.table = t
+	return t
+}
+
+func (gc *groupConsumer) finish() error { return nil }
+
+// mergeGroups absorbs the morsels' partial tables into the root.
+func mergeGroups(root *groupTable, parts []*groupTable) error {
+	for _, part := range parts {
+		if err := root.absorb(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *groupTable) numGroups() int { return len(t.hashes) }
 
 // tableBytes approximates the resident footprint of the group table and
 // typed accumulator arrays (boxed accumulator bytes tally separately).
-func (gc *groupConsumer) tableBytes() int64 {
+func (t *groupTable) tableBytes() int64 {
 	// 33 ≈ per-key cost of the unpacked mirrors (kind + int + float +
 	// string header).
-	b := int64(len(gc.slots))*4 + int64(len(gc.hashes))*8 + gc.keyBytes +
-		int64(len(gc.keyKinds))*33
-	for _, a := range gc.aggs {
+	b := int64(len(t.slots))*4 + int64(len(t.hashes))*8 + t.keyBytes +
+		int64(len(t.keyKinds))*33
+	for _, a := range t.aggs {
 		b += a.bytes()
 	}
 	return b
@@ -471,28 +495,28 @@ func (gc *groupConsumer) tableBytes() int64 {
 
 // maybeCharge settles the memory-budget balance in chunks; final forces
 // any remainder through.
-func (gc *groupConsumer) maybeCharge(final bool) error {
-	if gc.reserve == nil {
+func (t *groupTable) maybeCharge(final bool) error {
+	if t.reserve == nil {
 		return nil
 	}
-	total := gc.tableBytes() + gc.boxed
-	delta := total - gc.charged
+	total := t.tableBytes() + t.boxed
+	delta := total - t.charged
 	if delta >= groupChargeChunk || (final && delta > 0) {
-		gc.charged = total
-		return gc.reserve(delta)
+		t.charged = total
+		return t.reserve(delta)
 	}
 	return nil
 }
 
-func (gc *groupConsumer) growTable(size int) {
-	gc.slots = make([]int32, size)
-	gc.mask = uint64(size - 1)
-	for g, h := range gc.hashes {
-		s := h & gc.mask
-		for gc.slots[s] != 0 {
-			s = (s + 1) & gc.mask
+func (t *groupTable) growTable(size int) {
+	t.slots = make([]int32, size)
+	t.mask = uint64(size - 1)
+	for g, h := range t.hashes {
+		s := h & t.mask
+		for t.slots[s] != 0 {
+			s = (s + 1) & t.mask
 		}
-		gc.slots[s] = int32(g) + 1
+		t.slots[s] = int32(g) + 1
 	}
 }
 
@@ -502,11 +526,11 @@ func (gc *groupConsumer) growTable(size int) {
 // every row once the groups exist — so typed columns compare their
 // primitive payloads directly; boxing happens only for boxed columns and
 // cross-representation ties.
-func (gc *groupConsumer) rowKeyEqual(g int32, i int) bool {
-	base := int(g) * gc.nKeys
-	for j := 0; j < gc.nKeys; j++ {
-		col := gc.keyCols[j]
-		k := gc.keyKinds[base+j]
+func (t *groupTable) rowKeyEqual(g int32, i int, keyCols []*vec.Col) bool {
+	base := int(g) * t.nKeys
+	for j := 0; j < t.nKeys; j++ {
+		col := keyCols[j]
+		k := t.keyKinds[base+j]
 		null := colNullAt(col, i)
 		if null != (k == values.KindNull) {
 			return false
@@ -516,19 +540,19 @@ func (gc *groupConsumer) rowKeyEqual(g int32, i int) bool {
 		}
 		switch {
 		case col.Tag == vec.Int64 && k == values.KindInt:
-			if gc.keyInts[base+j] != col.Ints[i] {
+			if t.keyInts[base+j] != col.Ints[i] {
 				return false
 			}
 		case col.Tag == vec.Float64 && k == values.KindFloat:
-			if gc.keyFloats[base+j] != col.Floats[i] {
+			if t.keyFloats[base+j] != col.Floats[i] {
 				return false
 			}
 		case (col.Tag == vec.Str || col.Tag == vec.StrDict) && k == values.KindString:
-			if gc.keyStrs[base+j] != col.StrAt(i) {
+			if t.keyStrs[base+j] != col.StrAt(i) {
 				return false
 			}
 		default:
-			if !values.Equal(col.Value(i), gc.keys[base+j]) {
+			if !values.Equal(col.Value(i), t.keys[base+j]) {
 				return false
 			}
 		}
@@ -538,9 +562,9 @@ func (gc *groupConsumer) rowKeyEqual(g int32, i int) bool {
 
 // appendKey stores one group-key value, mirroring its primitive payload
 // into the unpacked arrays the equality fast path reads.
-func (gc *groupConsumer) appendKey(v values.Value) {
-	gc.keys = append(gc.keys, v)
-	gc.keyBytes += approxValueBytes(v)
+func (t *groupTable) appendKey(v values.Value) {
+	t.keys = append(t.keys, v)
+	t.keyBytes += approxValueBytes(v)
 	k := v.Kind()
 	var i64 int64
 	var f float64
@@ -553,67 +577,64 @@ func (gc *groupConsumer) appendKey(v values.Value) {
 	case values.KindString:
 		s = v.Str()
 	}
-	gc.keyKinds = append(gc.keyKinds, k)
-	gc.keyInts = append(gc.keyInts, i64)
-	gc.keyFloats = append(gc.keyFloats, f)
-	gc.keyStrs = append(gc.keyStrs, s)
+	t.keyKinds = append(t.keyKinds, k)
+	t.keyInts = append(t.keyInts, i64)
+	t.keyFloats = append(t.keyFloats, f)
+	t.keyStrs = append(t.keyStrs, s)
 }
 
 // findOrAddRow locates (or creates) the group for physical row i of the
 // current key columns, probing by the combined tuple hash.
-func (gc *groupConsumer) findOrAddRow(h uint64, i int) int32 {
-	if len(gc.slots) == 0 {
-		gc.growTable(groupTableInitSlots)
+func (t *groupTable) findOrAddRow(h uint64, i int, keyCols []*vec.Col) int32 {
+	if len(t.slots) == 0 {
+		t.growTable(groupTableInitSlots)
 	}
-	for s := h & gc.mask; ; s = (s + 1) & gc.mask {
-		e := gc.slots[s]
+	for s := h & t.mask; ; s = (s + 1) & t.mask {
+		e := t.slots[s]
 		if e == 0 {
-			g := int32(gc.numGroups())
-			gc.hashes = append(gc.hashes, h)
-			for j := 0; j < gc.nKeys; j++ {
-				gc.appendKey(gc.keyCols[j].Value(i))
+			for j := 0; j < t.nKeys; j++ {
+				t.appendKey(keyCols[j].Value(i))
 			}
-			for _, a := range gc.aggs {
-				a.grow(int(g) + 1)
-			}
-			gc.slots[s] = g + 1
-			if (gc.numGroups()+1)*4 > len(gc.slots)*3 {
-				gc.growTable(len(gc.slots) * 2)
-			}
-			return g
+			return t.addGroup(s, h)
 		}
 		g := e - 1
-		if gc.hashes[g] == h && gc.rowKeyEqual(g, i) {
+		if t.hashes[g] == h && t.rowKeyEqual(g, i, keyCols) {
 			return g
 		}
 	}
 }
 
+// addGroup adds a group with hash h at index slot s, its key tuple
+// already appended, and grows the index past 3/4 load.
+func (t *groupTable) addGroup(s, h uint64) int32 {
+	g := int32(t.numGroups())
+	t.hashes = append(t.hashes, h)
+	for _, a := range t.aggs {
+		a.grow(int(g) + 1)
+	}
+	t.slots[s] = g + 1
+	if (t.numGroups()+1)*4 > len(t.slots)*3 {
+		t.growTable(len(t.slots) * 2)
+	}
+	return g
+}
+
 // findOrAddTuple is findOrAddRow for an already-boxed key tuple (the
 // partial-merge path).
-func (gc *groupConsumer) findOrAddTuple(h uint64, tuple []values.Value) int32 {
-	if len(gc.slots) == 0 {
-		gc.growTable(groupTableInitSlots)
+func (t *groupTable) findOrAddTuple(h uint64, tuple []values.Value) int32 {
+	if len(t.slots) == 0 {
+		t.growTable(groupTableInitSlots)
 	}
-	for s := h & gc.mask; ; s = (s + 1) & gc.mask {
-		e := gc.slots[s]
+	for s := h & t.mask; ; s = (s + 1) & t.mask {
+		e := t.slots[s]
 		if e == 0 {
-			g := int32(gc.numGroups())
-			gc.hashes = append(gc.hashes, h)
 			for _, v := range tuple {
-				gc.appendKey(v)
+				t.appendKey(v)
 			}
-			for _, a := range gc.aggs {
-				a.grow(int(g) + 1)
-			}
-			gc.slots[s] = g + 1
-			if (gc.numGroups()+1)*4 > len(gc.slots)*3 {
-				gc.growTable(len(gc.slots) * 2)
-			}
-			return g
+			return t.addGroup(s, h)
 		}
 		g := e - 1
-		if gc.hashes[g] == h && mcl.GroupKeysEqual(gc.keys[int(g)*gc.nKeys:int(g+1)*gc.nKeys], tuple) {
+		if t.hashes[g] == h && mcl.GroupKeysEqual(t.keys[int(g)*t.nKeys:int(g+1)*t.nKeys], tuple) {
 			return g
 		}
 	}
@@ -627,7 +648,8 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 	if n == 0 {
 		return nil
 	}
-	gc.rows += int64(n)
+	t := gc.table
+	t.rows += int64(n)
 	for j, get := range gc.keyGet {
 		col, err := get(b)
 		if err != nil {
@@ -653,46 +675,46 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 	}
 	gc.gidx = gc.gidx[:0]
 	for k := 0; k < n; k++ {
-		gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.combined[k], b.Index(k)))
+		gc.gidx = append(gc.gidx, t.findOrAddRow(gc.combined[k], b.Index(k), gc.keyCols))
 	}
 	for j, get := range gc.aggGet {
 		col, err := get(b)
 		if err != nil {
 			return err
 		}
-		bytes, err := gc.aggs[j].addBatch(col, b, gc.gidx)
+		bytes, err := t.aggs[j].addBatch(col, b, gc.gidx)
 		if err != nil {
 			return err
 		}
-		gc.boxed += bytes
+		t.boxed += bytes
 	}
-	return gc.maybeCharge(false)
+	return t.maybeCharge(false)
 }
 
 // absorb merges a partial consumer's table into this one. Called in
 // morsel order with each partial's groups visited in local insertion
 // order, the root table ends up in global first-occurrence order — the
 // serial semantics, deterministically, regardless of worker count.
-func (gc *groupConsumer) absorb(o *groupConsumer) error {
+func (t *groupTable) absorb(o *groupTable) error {
 	remap := make([]int32, o.numGroups())
 	for og := 0; og < o.numGroups(); og++ {
 		tuple := o.keys[og*o.nKeys : (og+1)*o.nKeys]
-		remap[og] = gc.findOrAddTuple(o.hashes[og], tuple)
+		remap[og] = t.findOrAddTuple(o.hashes[og], tuple)
 	}
-	for j := range gc.aggs {
-		gc.aggs[j].merge(o.aggs[j], remap)
+	for j := range t.aggs {
+		t.aggs[j].merge(o.aggs[j], remap)
 	}
-	gc.rows += o.rows
-	gc.partialMerges++
-	return gc.maybeCharge(false)
+	t.rows += o.rows
+	t.partialMerges++
+	return t.maybeCharge(false)
 }
 
 // emit streams the group table downstream as batches of group rows, one
 // boxed column per key then per aggregate (slot order matches the group
 // frame), in first-occurrence order.
-func (gc *groupConsumer) emit(bs int, sink batchSink) error {
-	nG := gc.numGroups()
-	nk, na := gc.nKeys, len(gc.aggs)
+func (t *groupTable) emit(bs int, sink batchSink) error {
+	nG := t.numGroups()
+	nk, na := t.nKeys, len(t.aggs)
 	for lo := 0; lo < nG; lo += bs {
 		hi := lo + bs
 		if hi > nG {
@@ -702,14 +724,14 @@ func (gc *groupConsumer) emit(bs int, sink batchSink) error {
 		for j := 0; j < nk; j++ {
 			buf := make([]values.Value, hi-lo)
 			for g := lo; g < hi; g++ {
-				buf[g-lo] = gc.keys[g*nk+j]
+				buf[g-lo] = t.keys[g*nk+j]
 			}
 			cols[j] = vec.Col{Tag: vec.Boxed, Boxed: buf}
 		}
 		for j := 0; j < na; j++ {
 			buf := make([]values.Value, hi-lo)
 			for g := lo; g < hi; g++ {
-				buf[g-lo] = gc.aggs[j].result(g)
+				buf[g-lo] = t.aggs[j].result(g)
 			}
 			cols[nk+j] = vec.Col{Tag: vec.Boxed, Boxed: buf}
 		}
@@ -756,18 +778,14 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 	}
 	opts := c.opts
 	mkCons := func() *groupConsumer {
-		gc := &groupConsumer{nKeys: nKeys, reserve: opts.MemReserve}
-		gc.keyGet = make([]valGetter, nKeys)
+		gc := &groupConsumer{aggMs: aggMs, budget: opts.MemReserve}
+		getters := make([]valGetter, nKeys+len(mkAggGets))
+		gc.keyGet, gc.aggGet = getters[:nKeys:nKeys], getters[nKeys:]
 		for i, mk := range mkKeyGets {
 			gc.keyGet[i] = mk()
 		}
-		gc.aggGet = make([]valGetter, len(mkAggGets))
 		for i, mk := range mkAggGets {
 			gc.aggGet[i] = mk()
-		}
-		gc.aggs = make([]groupAcc, len(aggMs))
-		for i, m := range aggMs {
-			gc.aggs[i] = newGroupAcc(m)
 		}
 		gc.keyCols = make([]*vec.Col, nKeys)
 		return gc
@@ -775,62 +793,11 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 	run := func(sink batchSink) error {
 		sp := opts.Trace.Child("fold")
 		sp.SetAttr("kind", "groupagg")
-		root := mkCons()
-		parallel := false
-		if opts.Workers > 1 && input.openRange != nil {
-			if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-				parallel = true
-				sp.SetAttr("parallel", true)
-				workers := opts.Workers
-				morselRows := (n + workers*4 - 1) / (workers * 4)
-				if morselRows < opts.BatchSize {
-					morselRows = opts.BatchSize
-				}
-				numMorsels := (n + morselRows - 1) / morselRows
-				sp.SetAttr("morsels", numMorsels)
-				sp.SetAttr("workers", workers)
-				partials := make([]*groupConsumer, numMorsels)
-				err := opts.Pool.Run(opts.Ctx, numMorsels, func(i int) error {
-					if err := opts.Ctx.Err(); err != nil {
-						return err
-					}
-					gc := mkCons()
-					lo := i * morselRows
-					hi := lo + morselRows
-					if hi > n {
-						hi = n
-					}
-					if err := scan(lo, hi, gc.consume); err != nil {
-						return err
-					}
-					partials[i] = gc
-					return nil
-				})
-				if err != nil {
-					sp.End()
-					return err
-				}
-				msp := sp.Child("merge")
-				for _, part := range partials {
-					if part == nil {
-						continue
-					}
-					if err := root.absorb(part); err != nil {
-						msp.End()
-						sp.End()
-						return err
-					}
-				}
-				msp.End()
-			}
+		root, _, err := runFold(sp, input, opts, mkCons, mergeGroups)
+		if err == nil {
+			err = root.maybeCharge(true)
 		}
-		if !parallel {
-			if err := input.run(root.consume); err != nil {
-				sp.End()
-				return err
-			}
-		}
-		if err := root.maybeCharge(true); err != nil {
+		if err != nil {
 			sp.End()
 			return err
 		}

@@ -80,13 +80,10 @@ type joinIndex struct {
 // joinIndexPart is one sealed radix partition: its entries in global
 // build order plus a power-of-two bucket chain table over them.
 type joinIndexPart struct {
-	hashes []uint64
-	batch  []int32
-	row    []int32
-	keys   []values.Value
-	head   []int32 // 1-based entry, 0 = empty
-	next   []int32
-	mask   uint64
+	joinPartChunk
+	head []int32 // 1-based entry, 0 = empty
+	next []int32
+	mask uint64
 }
 
 // joinKeyOf evaluates a key tuple over a filled row; ok is false when
@@ -117,131 +114,147 @@ func (js *joinState) newPartial() *joinPartial {
 	return &joinPartial{parts: make([]joinPartChunk, js.parts)}
 }
 
-// mkBuildAbsorb returns a batchSink accumulating partitioned build
-// entries into part. The sink owns its scratch — one per morsel (or one
-// for the whole serial build). bsp receives the entry count.
-func (js *joinState) mkBuildAbsorb(part *joinPartial, bsp *trace.Span) batchSink {
-	rrow := make([]values.Value, js.rw)
-	var hs []uint64 // per-batch key-hash scratch (vectorized pass)
-	var hsValid []bool
-	reserve := js.opts.MemReserve
-	return func(b *vec.Batch) error {
-		cnt := b.Len()
-		if cnt == 0 {
-			return nil
-		}
-		if err := faultinject.Hit(faultinject.JoinBuildStall); err != nil {
-			return err
-		}
-		bi := int32(len(part.retained))
-		stored, compacted := retainForBuild(b)
-		if reserve != nil {
-			// The build side is the join's dominant allocator: charge
-			// every retained batch against the query budget.
-			if err := reserve(stored.MemoryBytes()); err != nil {
-				return err
-			}
-		}
-		part.retained = append(part.retained, stored)
-		var appended int64
-		if js.rSlot >= 0 {
-			// Vectorized build: the key column hashes in one
-			// tag-dispatched pass — typed payloads never box.
-			hs, hsValid = hashLiveCol(&b.Cols[js.rSlot], b, hs[:0], hsValid[:0])
-			for k := 0; k < cnt; k++ {
-				if !hsValid[k] {
-					continue
-				}
-				// A compacted batch re-indexes: its physical row k is
-				// the k-th live row of b.
-				si := b.Index(k)
-				if compacted {
-					si = k
-				}
-				h := hs[k]
-				ch := &part.parts[h>>js.shift]
-				ch.hashes = append(ch.hashes, h)
-				ch.batch = append(ch.batch, bi)
-				ch.row = append(ch.row, int32(si))
-				appended++
-			}
-		} else {
-			for k := 0; k < cnt; k++ {
-				i := b.Index(k)
-				si := i
-				if compacted {
-					si = k
-				}
-				fillRow(b, i, rrow)
-				kv, ok, err := joinKeyOf(rrow, js.rKeys)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				h := kv.Hash()
-				ch := &part.parts[h>>js.shift]
-				ch.hashes = append(ch.hashes, h)
-				ch.batch = append(ch.batch, bi)
-				ch.row = append(ch.row, int32(si))
-				ch.keys = append(ch.keys, kv)
-				appended++
-			}
-		}
-		bsp.AddRows(appended)
-		return nil
-	}
+// joinBuilder accumulates partitioned build entries into its current
+// partial: the join build's folder. Its scratch (row buffer, per-batch
+// key hashes) carries over between the morsels it serves.
+type joinBuilder struct {
+	js      *joinState
+	span    *trace.Span // receives the entry count
+	part    *joinPartial
+	row     []values.Value
+	hs      []uint64
+	hsValid []bool
 }
 
-// seal concatenates the morsel partials — in morsel order, which is
-// build-scan order — into the shared immutable index and builds each
-// partition's bucket chains. The index arrays are charged against the
-// query budget here (the retained batches were charged as they arrived).
-func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
-	idx := &joinIndex{parts: make([]joinIndexPart, js.parts)}
-	base := make([]int32, len(partials))
-	var retainedBytes int64
-	for mi, m := range partials {
-		if m == nil {
-			continue
-		}
-		base[mi] = int32(len(idx.retained))
-		idx.retained = append(idx.retained, m.retained...)
-		for i := range m.retained {
-			retainedBytes += m.retained[i].MemoryBytes()
+func (js *joinState) newBuilder(bsp *trace.Span) *joinBuilder {
+	return &joinBuilder{js: js, span: bsp, row: make([]values.Value, js.rw)}
+}
+
+func (jb *joinBuilder) start() *joinPartial {
+	jb.part = jb.js.newPartial()
+	return jb.part
+}
+
+func (jb *joinBuilder) finish() error { return nil }
+
+func (jb *joinBuilder) consume(b *vec.Batch) error {
+	js, part := jb.js, jb.part
+	cnt := b.Len()
+	if cnt == 0 {
+		return nil
+	}
+	if err := faultinject.Hit(faultinject.JoinBuildStall); err != nil {
+		return err
+	}
+	bi := int32(len(part.retained))
+	stored, compacted := retainForBuild(b)
+	if reserve := js.opts.MemReserve; reserve != nil {
+		// The build side is the join's dominant allocator: charge every
+		// retained batch against the query budget.
+		if err := reserve(stored.MemoryBytes()); err != nil {
+			return err
 		}
 	}
-	var indexBytes int64
-	for pi := range idx.parts {
-		total := 0
-		for _, m := range partials {
-			if m != nil {
-				total += len(m.parts[pi].hashes)
-			}
-		}
-		part := &idx.parts[pi]
-		if total > 0 {
-			part.hashes = make([]uint64, 0, total)
-			part.batch = make([]int32, 0, total)
-			part.row = make([]int32, 0, total)
-		}
-		for mi, m := range partials {
-			if m == nil {
+	part.retained = append(part.retained, stored)
+	var appended int64
+	if js.rSlot >= 0 {
+		// Vectorized build: the key column hashes in one tag-dispatched
+		// pass — typed payloads never box.
+		jb.hs, jb.hsValid = hashLiveCol(&b.Cols[js.rSlot], b, jb.hs[:0], jb.hsValid[:0])
+		for k := 0; k < cnt; k++ {
+			if !jb.hsValid[k] {
 				continue
 			}
-			ch := &m.parts[pi]
-			for k := range ch.hashes {
-				part.hashes = append(part.hashes, ch.hashes[k])
-				part.batch = append(part.batch, base[mi]+ch.batch[k])
-				part.row = append(part.row, ch.row[k])
+			// A compacted batch re-indexes: its physical row k is the
+			// k-th live row of b.
+			si := b.Index(k)
+			if compacted {
+				si = k
 			}
-			if js.rSlot < 0 {
-				part.keys = append(part.keys, ch.keys...)
-				for _, kv := range ch.keys {
-					indexBytes += approxValueBytes(kv)
-				}
+			h := jb.hs[k]
+			ch := &part.parts[h>>js.shift]
+			ch.hashes = append(ch.hashes, h)
+			ch.batch = append(ch.batch, bi)
+			ch.row = append(ch.row, int32(si))
+			appended++
+		}
+	} else {
+		for k := 0; k < cnt; k++ {
+			i := b.Index(k)
+			si := i
+			if compacted {
+				si = k
 			}
+			fillRow(b, i, jb.row)
+			kv, ok, err := joinKeyOf(jb.row, js.rKeys)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			h := kv.Hash()
+			ch := &part.parts[h>>js.shift]
+			ch.hashes = append(ch.hashes, h)
+			ch.batch = append(ch.batch, bi)
+			ch.row = append(ch.row, int32(si))
+			ch.keys = append(ch.keys, kv)
+			appended++
+		}
+	}
+	jb.span.AddRows(appended)
+	return nil
+}
+
+// mergeJoinPartials concatenates the build morsels' partials into root
+// in morsel order — which is build-scan order, the order the serial
+// build appends entries in — rebasing batch indices into root's
+// retained list.
+func mergeJoinPartials(root *joinPartial, parts []*joinPartial) error {
+	base := make([]int32, len(parts))
+	for mi, m := range parts {
+		base[mi] = int32(len(root.retained))
+		root.retained = append(root.retained, m.retained...)
+	}
+	for pi := range root.parts {
+		total := 0
+		for _, m := range parts {
+			total += len(m.parts[pi].hashes)
+		}
+		ch := &root.parts[pi]
+		if total > 0 {
+			ch.hashes = make([]uint64, 0, total)
+			ch.batch = make([]int32, 0, total)
+			ch.row = make([]int32, 0, total)
+		}
+		for mi, m := range parts {
+			src := &m.parts[pi]
+			ch.hashes = append(ch.hashes, src.hashes...)
+			for _, bi := range src.batch {
+				ch.batch = append(ch.batch, base[mi]+bi)
+			}
+			ch.row = append(ch.row, src.row...)
+			ch.keys = append(ch.keys, src.keys...)
+		}
+	}
+	return nil
+}
+
+// seal turns the build's partial into the shared immutable index by
+// building each partition's bucket chains. The index arrays are charged
+// against the query budget here (the retained batches were charged as
+// they arrived).
+func (js *joinState) seal(build *joinPartial) (*joinIndex, error) {
+	idx := &joinIndex{retained: build.retained, parts: make([]joinIndexPart, js.parts)}
+	var retainedBytes, indexBytes int64
+	for i := range idx.retained {
+		retainedBytes += idx.retained[i].MemoryBytes()
+	}
+	for pi := range idx.parts {
+		part := &idx.parts[pi]
+		part.joinPartChunk = build.parts[pi]
+		for _, kv := range part.keys {
+			indexBytes += approxValueBytes(kv)
 		}
 		// Power-of-two bucket heads plus per-entry chains, inserted in
 		// reverse so each chain lists entries in build order (probe
@@ -272,56 +285,18 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 }
 
 // buildIndex drives the build side to a sealed index under a
-// `fold kind=join` span. The build scan goes morsel-parallel when the
-// build side is partitionable and at least JoinBuildThreshold rows;
-// below that it stays serial (same partitioned structures, one morsel).
-// buildIndex always runs on the query's main goroutine — openRange
-// callers invoke it eagerly before dispatching probe morsels, so the
-// pool never nests Run inside its own workers.
+// `fold kind=join` span: the build fold (morsel-parallel when the build
+// side partitions, serial otherwise — same partitioned structures, one
+// partial) and the seal. buildIndex always runs on the query goroutine:
+// openRange callers invoke it eagerly before dispatching probe morsels,
+// so the pool never nests Run inside its own workers.
 func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 	opts := js.opts
 	fold := opts.Trace.Child("fold")
 	fold.SetAttr("kind", "join")
 	fold.SetAttr("partitions", js.parts)
 	bsp := fold.Child("join_build")
-	var partials []*joinPartial
-	var err error
-	parallel := false
-	if opts.Workers > 1 && js.r.openRange != nil {
-		if scan, n, ok := js.r.openRange(); ok && n >= opts.JoinBuildThreshold {
-			parallel = true
-			workers := opts.Workers
-			morselRows := (n + workers*4 - 1) / (workers * 4)
-			if morselRows < opts.BatchSize {
-				morselRows = opts.BatchSize
-			}
-			numMorsels := (n + morselRows - 1) / morselRows
-			bsp.SetAttr("morsels", numMorsels)
-			bsp.SetAttr("workers", workers)
-			partials = make([]*joinPartial, numMorsels)
-			err = opts.Pool.Run(opts.Ctx, numMorsels, func(i int) error {
-				if err := opts.Ctx.Err(); err != nil {
-					return err
-				}
-				lo := i * morselRows
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				part := js.newPartial()
-				if err := scan(lo, hi, js.mkBuildAbsorb(part, bsp)); err != nil {
-					return err
-				}
-				partials[i] = part
-				return nil
-			})
-		}
-	}
-	if !parallel {
-		part := js.newPartial()
-		err = js.r.run(js.mkBuildAbsorb(part, bsp))
-		partials = []*joinPartial{part}
-	}
+	build, parallel, err := runFold(bsp, js.r, opts, func() *joinBuilder { return js.newBuilder(bsp) }, mergeJoinPartials)
 	fold.SetAttr("parallel_build", parallel)
 	bsp.End()
 	if err != nil {
@@ -329,7 +304,7 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 		return nil, nil, err
 	}
 	ssp := fold.Child("join_seal")
-	idx, err := js.seal(partials)
+	idx, err := js.seal(build)
 	ssp.End()
 	if err != nil {
 		fold.End()

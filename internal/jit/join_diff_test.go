@@ -305,12 +305,11 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 		for _, w := range workerCounts {
 			for _, parts := range partitionCounts {
 				par := Executor{Opts: Options{
-					Workers:            w,
-					BatchSize:          64,
-					ParallelThreshold:  1,
-					JoinBuildThreshold: 1,
-					JoinPartitions:     parts,
-					Pool:               pool,
+					Workers:           w,
+					BatchSize:         64,
+					ParallelThreshold: 1,
+					JoinPartitions:    parts,
+					Pool:              pool,
 				}}
 				got, err := par.Run(sc.plan, sc.cat)
 				if err != nil {
@@ -380,7 +379,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	check("jit serial", got, err)
 	for _, parts := range []int{1, 8} {
 		got, err = (Executor{Opts: Options{
-			Workers: 4, BatchSize: 64, ParallelThreshold: 1, JoinBuildThreshold: 1,
+			Workers: 4, BatchSize: 64, ParallelThreshold: 1,
 			JoinPartitions: parts, Pool: pool,
 		}}).Run(plan, cat)
 		check(fmt.Sprintf("jit parallel parts=%d", parts), got, err)

@@ -28,10 +28,13 @@ import (
 var errLimitReached = errors.New("jit: row limit reached")
 
 // orderedConsumer evaluates sort keys and the head per live row and
-// folds them into a keyed top-k accumulator. One consumer serves one
-// serial run or one morsel; reset swaps the accumulator between morsels.
+// folds them into a keyed top-k accumulator: the top-k fold's folder.
+// start swaps in a fresh accumulator, bounded to keep entries, between
+// morsels.
 type orderedConsumer struct {
 	acc         *monoid.TopKAcc
+	desc        []bool
+	keep        int
 	filter      batchFilter // may be nil
 	keyIdxs     []int       // per key: >= 0 slot fast path, -1 via kernel/expr
 	keyKernels  []vecExpr   // per key: non-nil vectorized kernel
@@ -45,7 +48,23 @@ type orderedConsumer struct {
 	needRowHead bool
 }
 
-func (oc *orderedConsumer) reset(acc *monoid.TopKAcc) { oc.acc = acc }
+func (oc *orderedConsumer) start() *monoid.TopKAcc {
+	oc.acc = monoid.NewTopKAcc(oc.desc, oc.keep)
+	return oc.acc
+}
+
+func (oc *orderedConsumer) finish() error { return nil }
+
+// mergeTopK merges partial heaps at the root. Keeping every partial
+// bounded to keep entries makes the whole parallel fold O(workers ×
+// keep) resident; the merge is sound for any collection monoid, since
+// the final sort's total order is independent of input order.
+func mergeTopK(root *monoid.TopKAcc, parts []*monoid.TopKAcc) error {
+	for _, part := range parts {
+		root.MergeFrom(part)
+	}
+	return nil
+}
 
 func (oc *orderedConsumer) consume(b *vec.Batch) error {
 	if oc.filter != nil {
@@ -122,15 +141,12 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 }
 
 // compileOrderedConsumer stages the keyed top-k root: optional inline
-// predicate, per-key slot fast paths, head evaluation.
-func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan) (func() *orderedConsumer, []bool, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, nil, err
-		}
+// predicate, per-key slot fast paths, head evaluation. The factory takes
+// the run's retention bound (see resolveOrder).
+func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan) (func(keep int) *orderedConsumer, error) {
+	mkFilter, err := c.compileFilter(p.Pred, input.frame)
+	if err != nil {
+		return nil, err
 	}
 	keys := p.Order.Keys
 	desc := make([]bool, len(keys))
@@ -140,20 +156,11 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 	needRowKeys := false
 	for i, k := range keys {
 		desc[i] = k.Desc
-		keyIdxs[i] = slotOf(k.E, input.frame)
-		if keyIdxs[i] < 0 {
-			if !c.opts.NoExprKernels {
-				mkKeyKernels[i] = compileVecExpr(k.E, input.frame)
-			}
-			if mkKeyKernels[i] != nil {
-				continue
-			}
-			keyEs[i], err = c.compileExpr(k.E, input.frame)
-			if err != nil {
-				return nil, nil, err
-			}
-			needRowKeys = true
+		keyIdxs[i], mkKeyKernels[i], keyEs[i], err = c.compileValue(k.E, input.frame)
+		if err != nil {
+			return nil, err
 		}
+		needRowKeys = needRowKeys || keyEs[i] != nil
 	}
 	headIdx := slotOf(p.Head, input.frame)
 	var head compiledExpr
@@ -161,14 +168,14 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 	if headIdx < 0 {
 		head, err = c.compileExpr(p.Head, input.frame)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		needRowHead = true
 	}
 	width := input.frame.width()
-	return func() *orderedConsumer {
+	return func(keep int) *orderedConsumer {
 		oc := &orderedConsumer{
-			keyIdxs: keyIdxs, keyEs: keyEs, headIdx: headIdx, head: head,
+			desc: desc, keep: keep, keyIdxs: keyIdxs, keyEs: keyEs, headIdx: headIdx, head: head,
 			needRowKeys: needRowKeys, needRowHead: needRowHead,
 			keyKernels: make([]vecExpr, len(keys)),
 			keyCols:    make([]*vec.Col, len(keys)),
@@ -185,72 +192,7 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 			oc.filter = mkFilter()
 		}
 		return oc
-	}, desc, nil
-}
-
-// runTopK executes an ordered plan's fold: morsel-parallel over a
-// partitionable input (partial heaps merged at the root — sound for any
-// collection monoid, since the final sort's total order is independent
-// of input order), serial otherwise. It returns the accumulator, ready
-// to Finalize.
-func runTopK(ctx context.Context, input *compiledPlan, mkCons func() *orderedConsumer, desc []bool, keep int, opts Options) (*monoid.TopKAcc, error) {
-	if opts.Workers > 1 && input.openRange != nil {
-		if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-			return runParallelTopK(ctx, scan, n, mkCons, desc, keep, opts)
-		}
-	}
-	acc := monoid.NewTopKAcc(desc, keep)
-	oc := mkCons()
-	oc.reset(acc)
-	if err := input.run(oc.consume); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// runParallelTopK is runParallelReduce for the keyed top-k fold: each
-// morsel folds its rows into a bounded partial heap, and partials merge
-// at the root. Keeping every partial bounded to keep entries makes the
-// whole parallel fold O(workers × keep) resident.
-func runParallelTopK(ctx context.Context, scan func(lo, hi int, sink batchSink) error, n int, mkCons func() *orderedConsumer, desc []bool, keep int, opts Options) (*monoid.TopKAcc, error) {
-	workers := opts.Workers
-	morselRows := (n + workers*4 - 1) / (workers * 4)
-	if morselRows < opts.BatchSize {
-		morselRows = opts.BatchSize
-	}
-	numMorsels := (n + morselRows - 1) / morselRows
-
-	partials := make([]*monoid.TopKAcc, numMorsels)
-	consumers := sync.Pool{New: func() any { return mkCons() }}
-	err := opts.Pool.Run(ctx, numMorsels, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		oc := consumers.Get().(*orderedConsumer)
-		defer consumers.Put(oc)
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
-		}
-		acc := monoid.NewTopKAcc(desc, keep)
-		oc.reset(acc)
-		if err := scan(lo, hi, oc.consume); err != nil {
-			return err
-		}
-		partials[i] = acc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	root := monoid.NewTopKAcc(desc, keep)
-	for _, part := range partials {
-		if part != nil {
-			root.MergeFrom(part)
-		}
-	}
-	return root, nil
+	}, nil
 }
 
 // rowQuota is the shared countdown of a bare-LIMIT stream: concurrent
@@ -379,27 +321,29 @@ func resolveOrder(p *algebra.Reduce) (limit, offset, keep int, dedup bool, err e
 	return limit, offset, keep, dedup, nil
 }
 
-// compileOrdered stages the execution root of an ordered plan (keys
-// present) in collect mode.
-func (c *compiler) compileOrdered(p *algebra.Reduce, input *compiledPlan) (func() (values.Value, error), error) {
-	mkCons, desc, err := c.compileOrderedConsumer(p, input)
+// compileTopK stages the execution root of an ordered plan (keys
+// present): the keyed top-k fold, finalized to the sorted, deduplicated,
+// offset/limit-applied elements. Both execution modes share it: collect
+// mode wraps the elements in a list, stream mode emits them in chunks.
+func (c *compiler) compileTopK(p *algebra.Reduce, input *compiledPlan) (func() ([]values.Value, error), error) {
+	mkCons, err := c.compileOrderedConsumer(p, input)
 	if err != nil {
 		return nil, err
 	}
 	opts := c.opts
-	return func() (values.Value, error) {
+	return func() ([]values.Value, error) {
 		sp := opts.Trace.Child("fold")
 		sp.SetAttr("kind", "topk")
 		defer sp.End()
 		limit, offset, keep, dedup, err := resolveOrder(p)
 		if err != nil {
-			return values.Null, err
+			return nil, err
 		}
-		acc, err := runTopK(opts.Ctx, input, mkCons, desc, keep, opts)
+		acc, _, err := runFold(sp, input, opts, func() *orderedConsumer { return mkCons(keep) }, mergeTopK)
 		if err != nil {
-			return values.Null, err
+			return nil, err
 		}
-		return values.NewList(acc.Finalize(offset, limit, dedup)...), nil
+		return acc.Finalize(offset, limit, dedup), nil
 	}, nil
 }
 
@@ -411,17 +355,12 @@ func (c *compiler) compileBareBound(p *algebra.Reduce, input *compiledPlan) (fun
 	if !monoid.IsCollection(p.M) || p.M.Name() == "array" {
 		return nil, fmt.Errorf("jit: limit/offset on %s-monoid results", p.M.Name())
 	}
-	mkCons, err := c.compileStreamConsumer(p, input)
+	bounded, err := c.compileStream(p, input)
 	if err != nil {
 		return nil, err
 	}
-	opts := c.opts
 	name := p.M.Name()
-	commutative := p.M.Commutative()
 	return func() (values.Value, error) {
-		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "limit")
-		defer sp.End()
 		var mu sync.Mutex
 		var elems []values.Value
 		collect := func(chunk []values.Value) error {
@@ -430,7 +369,7 @@ func (c *compiler) compileBareBound(p *algebra.Reduce, input *compiledPlan) (fun
 			mu.Unlock()
 			return nil
 		}
-		if err := runBoundedStream(p, input, mkCons, commutative, name, collect, opts); err != nil {
+		if err := bounded(collect); err != nil {
 			return values.Null, err
 		}
 		switch name {
@@ -442,33 +381,4 @@ func (c *compiler) compileBareBound(p *algebra.Reduce, input *compiledPlan) (fun
 			return values.NewBag(elems...), nil
 		}
 	}, nil
-}
-
-// runBoundedStream drives a collection pipeline with the row quota
-// applied: offset rows dropped, at most limit rows delivered to emit,
-// producers cancelled as soon as the quota fills. Set plans dedup before
-// the quota so LIMIT counts distinct elements.
-func runBoundedStream(p *algebra.Reduce, input *compiledPlan, mkCons func(StreamSink) *streamConsumer, commutative bool, name string, emit StreamSink, opts Options) error {
-	limit, offset, err := algebra.ResolveExtents(p.Order)
-	if err != nil {
-		return err
-	}
-	qctx, cancel := context.WithCancel(opts.Ctx)
-	defer cancel()
-	q := newRowQuota(limit, offset, cancel)
-	sink := q.wrap(emit)
-	if name == "set" {
-		sink = DedupSink(sink, opts.MemReserve)
-	}
-	if opts.Workers > 1 && commutative && input.openRange != nil {
-		if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-			err := runParallelStream(qctx, scan, n, mkCons, sink, opts)
-			return swallowLimit(err, q, opts.Ctx)
-		}
-	}
-	sc := mkCons(sink)
-	if err := input.run(sc.consume); err != nil {
-		return swallowLimit(err, q, opts.Ctx)
-	}
-	return swallowLimit(sc.flush(), q, opts.Ctx)
 }

@@ -55,116 +55,95 @@ func (e Executor) RunStream(ctx context.Context, p *algebra.Reduce, cat algebra.
 }
 
 // CompileStream stages a collection-rooted plan into a pull-sink
-// program. Compilation is identical to CompileWith up to the root: the
-// same staged pipeline feeds a streamConsumer that evaluates the reduce
-// head per live row and flushes fixed-size chunks, rather than a
-// reduceConsumer folding into a collector.
+// program. It shares CompileWith's prelude and every stage below the
+// root: the same staged pipeline feeds a streamConsumer that evaluates
+// the reduce head per live row and flushes fixed-size chunks, rather
+// than a reduceConsumer folding into a collector.
 func CompileStream(p *algebra.Reduce, cat algebra.Catalog, opts Options) (func(emit StreamSink) error, error) {
 	if !CanStream(p) {
 		return nil, fmt.Errorf("jit: cannot stream %s-monoid results", p.M.Name())
 	}
-	opts = opts.withDefaults()
-	c := &compiler{cat: cat, opts: opts}
-	if sc, ok := cat.(SchemaCatalog); ok {
-		c.schemas = sc
-	}
-	env, err := c.materializeFreeSources(p)
+	c := &compiler{}
+	p, input, err := c.prepare(p, cat, opts)
 	if err != nil {
 		return nil, err
 	}
-	c.baseEnv = env
+	var prog func(emit StreamSink) error
+	switch {
+	case p.Order.Ordered():
+		// Ordered plans are blocking at the root: the keyed top-k fold
+		// runs to completion, then the sorted, deduplicated,
+		// offset/limit-applied elements stream out in chunks — the
+		// NDJSON path emits ordered output without buffering beyond the
+		// heap.
+		var topk func() ([]values.Value, error)
+		topk, err = c.compileTopK(p, input)
+		bs := c.opts.BatchSize
+		prog = func(emit StreamSink) error {
+			elems, err := topk()
+			if err != nil {
+				return err
+			}
+			return emitChunks(elems, bs, emit)
+		}
+	default:
+		prog, err = c.compileStream(p, input)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.reportKernels()
+	return prog, nil
+}
 
-	input, err := c.compilePlan(p.Input)
-	if err != nil {
-		return nil, err
-	}
-	// Grouped reduces fold the input into the group table first (single
-	// scan), then stream group rows through the unchanged root consumers
-	// with the grouping clause stripped (Pred is HAVING).
-	if p.Grouped() {
-		input, err = c.compileGroupAgg(p, input)
-		if err != nil {
-			return nil, err
-		}
-		p = shadowGrouped(p)
-	}
-	// Ordered plans are blocking at the root: the keyed top-k fold runs
-	// to completion (morsel-parallel, O(offset+limit) retained per
-	// worker when a limit is present), then the sorted, deduplicated,
-	// offset/limit-applied elements stream out in chunks — the NDJSON
-	// path emits ordered output without buffering beyond the heap.
-	if p.Order.Ordered() {
-		mkCons, desc, err := c.compileOrderedConsumer(p, input)
-		if err != nil {
-			return nil, err
-		}
-		return c.reportKernelsStream(func(emit StreamSink) error {
-			sp := opts.Trace.Child("fold")
-			sp.SetAttr("kind", "topk")
-			defer sp.End()
-			limit, offset, keep, dedup, err := resolveOrder(p)
-			if err != nil {
-				return err
-			}
-			acc, err := runTopK(opts.Ctx, input, mkCons, desc, keep, opts)
-			if err != nil {
-				return err
-			}
-			return emitChunks(acc.Finalize(offset, limit, dedup), opts.BatchSize, emit)
-		}, nil)
-	}
+// compileStream stages the streaming root. For the commutative bag and
+// set monoids the fold may go morsel-parallel, every worker emitting
+// finished chunks straight to the shared sink in completion order:
+// there is no merge stage, the sink (typically a bounded channel) is
+// the merge point, and backpressure from a slow consumer blocks workers
+// in emit, which in turn stalls morsel dispatch — bounded memory end to
+// end. A list stream runs serially so element order matches the
+// collect mode.
+//
+// A bare LIMIT/OFFSET (p.Order without sort keys) pushes a row quota
+// into the stream: offset rows are dropped, at most limit rows reach
+// emit, and the producers are cancelled as soon as the quota fills. Set
+// plans dedup before the quota, so LIMIT counts distinct elements.
+func (c *compiler) compileStream(p *algebra.Reduce, input *compiledPlan) (func(emit StreamSink) error, error) {
 	mkCons, err := c.compileStreamConsumer(p, input)
 	if err != nil {
 		return nil, err
 	}
-	commutative := p.M.Commutative()
-	// A bare LIMIT/OFFSET pushes a row quota into the stream: offset
-	// rows are dropped, at most limit rows emitted, and the remaining
-	// producers are cancelled through the scheduler. Set plans dedup
-	// before the quota, so LIMIT bounds distinct elements.
-	if p.Order != nil {
-		name := p.M.Name()
-		return c.reportKernelsStream(func(emit StreamSink) error {
-			sp := opts.Trace.Child("fold")
-			sp.SetAttr("kind", "limit")
-			defer sp.End()
-			return runBoundedStream(p, input, mkCons, commutative, name, emit, opts)
-		}, nil)
+	opts := c.opts
+	if !p.M.Commutative() {
+		opts.Workers = 1
 	}
-	return c.reportKernelsStream(func(emit StreamSink) error {
+	dedup := p.M.Name() == "set"
+	return func(emit StreamSink) error {
 		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "stream")
 		defer sp.End()
-		if opts.Workers > 1 && commutative && input.openRange != nil {
-			if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-				popts := opts
-				popts.Trace = sp
-				sp.SetAttr("parallel", true)
-				return runParallelStream(popts.Ctx, scan, n, mkCons, emit, popts)
-			}
-		}
-		sc := mkCons(emit)
-		if err := input.run(sc.consume); err != nil {
+		if p.Order == nil {
+			sp.SetAttr("kind", "stream")
+			_, _, err := runFold(sp, input, opts, func() *streamConsumer { return mkCons(emit) }, nil)
 			return err
 		}
-		return sc.flush()
-	}, nil)
-}
-
-// reportKernelsStream mirrors reportKernels for pull-sink programs.
-func (c *compiler) reportKernelsStream(prog func(StreamSink) error, err error) (func(StreamSink) error, error) {
-	if err != nil {
-		return nil, err
-	}
-	if c.opts.KernelStats != nil {
-		c.opts.KernelStats(c.vecStages, c.boxedStages)
-	}
-	if sp := c.opts.Trace; sp != nil {
-		sp.SetAttr("kernels_vectorized", c.vecStages)
-		sp.SetAttr("kernels_boxed", c.boxedStages)
-		sp.SetAttr("boxed_fallback", c.boxedStages > 0)
-	}
-	return prog, nil
+		sp.SetAttr("kind", "limit")
+		limit, offset, err := algebra.ResolveExtents(p.Order)
+		if err != nil {
+			return err
+		}
+		qopts := opts
+		qctx, cancel := context.WithCancel(opts.Ctx)
+		defer cancel()
+		qopts.Ctx = qctx
+		q := newRowQuota(limit, offset, cancel)
+		sink := q.wrap(emit)
+		if dedup {
+			sink = DedupSink(sink, opts.MemReserve)
+		}
+		_, _, err = runFold(sp, input, qopts, func() *streamConsumer { return mkCons(sink) }, nil)
+		return swallowLimit(err, q, opts.Ctx)
+	}, nil
 }
 
 // DedupSink decorates a sink with set-monoid deduplication: each
@@ -235,40 +214,10 @@ func emitChunks(elems []values.Value, size int, emit StreamSink) error {
 	return nil
 }
 
-// runParallelStream drives a partitionable pipeline morsel-parallel with
-// every worker emitting finished chunks straight to the shared sink.
-// Unlike runParallelReduce there is no merge stage: the sink (typically
-// a bounded channel) is the merge point, and backpressure from a slow
-// consumer blocks workers in emit, which in turn stalls morsel dispatch
-// — bounded memory end to end.
-func runParallelStream(ctx context.Context, scan func(lo, hi int, sink batchSink) error, n int, mkCons func(StreamSink) *streamConsumer, emit StreamSink, opts Options) error {
-	workers := opts.Workers
-	morselRows := (n + workers*4 - 1) / (workers * 4)
-	if morselRows < opts.BatchSize {
-		morselRows = opts.BatchSize
-	}
-	numMorsels := (n + morselRows - 1) / morselRows
-	return opts.Pool.Run(ctx, numMorsels, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// One consumer per morsel: its chunk buffers are handed off to
-		// the sink, so pooling them would not help.
-		sc := mkCons(emit)
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
-		}
-		if err := scan(lo, hi, sc.consume); err != nil {
-			return err
-		}
-		return sc.flush()
-	})
-}
-
 // streamConsumer turns pipeline batches into chunks of evaluated head
-// values. One consumer serves one serial run or one morsel.
+// values: the stream fold's folder. It has no partial to merge — each
+// chunk goes to the sink as it fills — so one consumer serves any
+// number of morsels in turn.
 type streamConsumer struct {
 	filter     batchFilter // may be nil
 	headIdx    int         // >= 0: head is this slot (no per-row evaluation)
@@ -324,6 +273,14 @@ func (sc *streamConsumer) consume(b *vec.Batch) error {
 	return sc.flush()
 }
 
+// start drops anything a failed morsel left buffered.
+func (sc *streamConsumer) start() struct{} {
+	sc.chunk = sc.chunk[:0]
+	return struct{}{}
+}
+
+func (sc *streamConsumer) finish() error { return sc.flush() }
+
 // flush emits the buffered chunk (ownership transfers) and starts a new
 // one. Safe to call with an empty buffer.
 func (sc *streamConsumer) flush() error {
@@ -339,27 +296,13 @@ func (sc *streamConsumer) flush() error {
 // inline predicate, head evaluation (slot fast path when the head is a
 // pure slot reference) and chunk assembly.
 func (c *compiler) compileStreamConsumer(p *algebra.Reduce, input *compiledPlan) (func(StreamSink) *streamConsumer, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, err
-		}
+	mkFilter, err := c.compileFilter(p.Pred, input.frame)
+	if err != nil {
+		return nil, err
 	}
-	headIdx := slotOf(p.Head, input.frame)
-	var mkHeadKernel func() vecExpr
-	var head compiledExpr
-	if headIdx < 0 {
-		if !c.opts.NoExprKernels {
-			mkHeadKernel = compileVecExpr(p.Head, input.frame)
-		}
-		if mkHeadKernel == nil {
-			head, err = c.compileExpr(p.Head, input.frame)
-			if err != nil {
-				return nil, err
-			}
-		}
+	headIdx, mkHeadKernel, head, err := c.compileValue(p.Head, input.frame)
+	if err != nil {
+		return nil, err
 	}
 	width := input.frame.width()
 	size := c.opts.BatchSize

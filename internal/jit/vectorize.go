@@ -511,10 +511,11 @@ const (
 	aggMax
 )
 
-// reduceConsumer folds pipeline batches into a monoid collector. One
-// consumer serves one serial run or one morsel worker; reset swaps the
-// collector between morsels so partial aggregates merge in morsel order.
+// reduceConsumer folds pipeline batches into a monoid collector: the
+// reduce fold's folder. start swaps in a fresh collector between morsels
+// so partial aggregates merge in morsel order.
 type reduceConsumer struct {
+	m          monoid.Monoid
 	acc        *monoid.Collector
 	filter     batchFilter // may be nil
 	headIdx    int         // >= 0: head is this slot (no per-row evaluation)
@@ -572,13 +573,22 @@ func (rc *reduceConsumer) chargeBoxed(sample values.Value, n int) error {
 	return rc.reserve(int64(n) * approxValueBytes(sample))
 }
 
-// reset points the consumer at a fresh collector and clears partials.
-func (rc *reduceConsumer) reset(acc *monoid.Collector) {
-	rc.acc = acc
+// start points the consumer at a fresh collector and clears partials.
+func (rc *reduceConsumer) start() *monoid.Collector {
+	rc.acc = monoid.NewCollector(rc.m)
 	rc.isum, rc.count, rc.fsum = 0, 0, 0
 	rc.sawInt, rc.sawFloat = false, false
 	rc.haveIMin, rc.haveIMax, rc.haveFMin, rc.haveFMax = false, false, false, false
 	rc.best, rc.haveBest = values.Null, false
+	return rc.acc
+}
+
+// mergeCollectors merges per-morsel partial aggregates at the root.
+func mergeCollectors(root *monoid.Collector, parts []*monoid.Collector) error {
+	for _, part := range parts {
+		root.MergeFrom(part)
+	}
+	return nil
 }
 
 func (rc *reduceConsumer) consume(b *vec.Batch) error {
@@ -796,8 +806,8 @@ func (rc *reduceConsumer) noteFloat(v float64) {
 }
 
 // finish folds the unboxed partials into the collector. It must be called
-// exactly once per reset before the collector is merged or finalized.
-func (rc *reduceConsumer) finish() {
+// exactly once per start before the collector is merged or finalized.
+func (rc *reduceConsumer) finish() error {
 	switch rc.kind {
 	case aggCount:
 		if rc.count > 0 {
@@ -838,6 +848,7 @@ func (rc *reduceConsumer) finish() {
 			rc.acc.Absorb(rc.best)
 		}
 	}
+	return nil
 }
 
 // compileReduceConsumer stages the root reduce: predicate filter, head
@@ -845,33 +856,15 @@ func (rc *reduceConsumer) finish() {
 // is a slot reference or a vectorized expression kernel and the monoid
 // is one of count/sum/avg/min/max.
 func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan) (func() *reduceConsumer, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, err
-		}
+	mkFilter, err := c.compileFilter(p.Pred, input.frame)
+	if err != nil {
+		return nil, err
 	}
-	headIdx := slotOf(p.Head, input.frame)
-	var mkHeadKernel func() vecExpr
-	var head compiledExpr
-	if headIdx < 0 {
-		if !c.opts.NoExprKernels {
-			mkHeadKernel = compileVecExpr(p.Head, input.frame)
-		}
-		if mkHeadKernel == nil {
-			c.boxedStages++
-			head, err = c.compileExpr(p.Head, input.frame)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			c.vecStages++
-		}
-	} else {
-		c.vecStages++
+	headIdx, mkHeadKernel, head, err := c.compileValue(p.Head, input.frame)
+	if err != nil {
+		return nil, err
 	}
+	c.tally(head != nil)
 	kind := aggGeneric
 	if headIdx >= 0 || mkHeadKernel != nil {
 		switch p.M.Name() {
@@ -898,7 +891,7 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	}
 	width := input.frame.width()
 	return func() *reduceConsumer {
-		rc := &reduceConsumer{headIdx: headIdx, head: head, kind: kind, reserve: reserve}
+		rc := &reduceConsumer{m: p.M, headIdx: headIdx, head: head, kind: kind, reserve: reserve}
 		if mkHeadKernel != nil {
 			rc.headKernel = mkHeadKernel()
 		} else if headIdx < 0 {

@@ -22,9 +22,9 @@ import (
 	"vida/internal/sched"
 )
 
-// joinStressRows is sized so both the parallel probe gate
-// (ParallelThreshold) and the parallel build gate (JoinBuildThreshold)
-// engage through the public API at their defaults.
+// joinStressRows is sized so the one parallel gate (ParallelThreshold)
+// engages for both the probe and the build side through the public API
+// at its default.
 const joinStressRows = 300_000
 
 // writeJoinStressCSVs writes People(id,v) and Dim(id,w), both

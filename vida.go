@@ -115,14 +115,6 @@ func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }
 }
 
-// WithJoinPartitions overrides the radix partition count of the
-// parallel hash-join build (0 keeps the engine default; values round up
-// to a power of two). Results are identical across partition counts —
-// this is a performance knob, not a semantic one.
-func WithJoinPartitions(n int) Option {
-	return func(o *core.Options) { o.JoinPartitions = n }
-}
-
 // New creates an engine.
 func New(opts ...Option) *Engine {
 	var o core.Options
