@@ -229,13 +229,32 @@ type compiler struct {
 	baseEnv *mcl.Env
 	opts    Options
 	// vecStages/boxedStages tally each staging decision (filter, bind,
-	// reduce head): vectorized kernel vs. row-wise boxed fallback.
+	// aggregate head, sort key, grouping key, aggregate input, join key):
+	// vectorized kernel vs. row-wise boxed fallback. boxedExprs keeps
+	// the first boxed expressions so a trace can name the fallback.
 	vecStages   int64
 	boxedStages int64
+	boxedExprs  [maxBoxedExprs]mcl.Expr
+}
+
+// maxBoxedExprs bounds the boxed stage expressions a trace names.
+const maxBoxedExprs = 4
+
+// tally counts one staging decision of e: vectorized or boxed fallback.
+func (c *compiler) tally(e mcl.Expr, boxed bool) {
+	if !boxed {
+		c.vecStages++
+		return
+	}
+	if c.boxedStages < maxBoxedExprs {
+		c.boxedExprs[c.boxedStages] = e
+	}
+	c.boxedStages++
 }
 
 // reportKernels publishes the staging tally to the options hooks once
-// compilation succeeded.
+// compilation succeeded. The trace names the boxed expressions
+// (boxed_exprs), so EXPLAIN ANALYZE shows which stage fell back.
 func (c *compiler) reportKernels() {
 	if c.opts.KernelStats != nil {
 		c.opts.KernelStats(c.vecStages, c.boxedStages)
@@ -244,6 +263,13 @@ func (c *compiler) reportKernels() {
 		sp.SetAttr("kernels_vectorized", c.vecStages)
 		sp.SetAttr("kernels_boxed", c.boxedStages)
 		sp.SetAttr("boxed_fallback", c.boxedStages > 0)
+		if c.boxedStages > 0 {
+			var named []string
+			for _, e := range c.boxedExprs[:min(c.boxedStages, maxBoxedExprs)] {
+				named = append(named, e.String())
+			}
+			sp.SetAttr("boxed_exprs", named)
+		}
 	}
 }
 
@@ -440,11 +466,11 @@ func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, erro
 	if e == nil {
 		return nil, nil
 	}
-	if vf := compileVecFilter(e, f, !c.opts.NoExprKernels); vf != nil {
-		c.vecStages++
+	vf := compileVecFilter(e, f, !c.opts.NoExprKernels)
+	c.tally(e, vf == nil)
+	if vf != nil {
 		return vf, nil
 	}
-	c.boxedStages++
 	pred, err := c.compileExpr(e, f)
 	if err != nil {
 		return nil, err
@@ -474,12 +500,22 @@ func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, erro
 	}, nil
 }
 
-// compileValue stages a per-row value — a reduce or stream head, a sort
-// key, a grouping key or aggregate input — on the cheapest path that
-// serves it: a slot reference reads its column (slot >= 0), else an
-// expression kernel computes a column per batch (kernel != nil), else a
-// row-wise compiled expression boxes it (expr, the fallback).
+// compileValue stages a per-row value that feeds a stage — an
+// aggregate head, a sort key, a grouping key or aggregate input — on
+// the cheapest path that serves it, and tallies the decision: a slot
+// reference reads its column (slot >= 0), else an expression kernel
+// computes a column per batch (kernel != nil), else a row-wise compiled
+// expression boxes it (expr, the fallback).
 func (c *compiler) compileValue(e mcl.Expr, f *frame) (slot int, kernel func() vecExpr, expr compiledExpr, err error) {
+	slot, kernel, expr, err = c.compileRowValue(e, f)
+	c.tally(e, expr != nil)
+	return slot, kernel, expr, err
+}
+
+// compileRowValue is compileValue untallied, for heads that only build
+// the emitted row (a collection's elements): that boxing is the result
+// boundary, not a stage.
+func (c *compiler) compileRowValue(e mcl.Expr, f *frame) (slot int, kernel func() vecExpr, expr compiledExpr, err error) {
 	if slot = slotOf(e, f); slot >= 0 {
 		return slot, nil, nil, nil
 	}
@@ -490,15 +526,6 @@ func (c *compiler) compileValue(e mcl.Expr, f *frame) (slot int, kernel func() v
 	}
 	expr, err = c.compileExpr(e, f)
 	return slot, nil, expr, err
-}
-
-// tally counts one staging decision: vectorized or boxed fallback.
-func (c *compiler) tally(boxed bool) {
-	if boxed {
-		c.boxedStages++
-	} else {
-		c.vecStages++
-	}
 }
 
 // fillRow boxes physical row i of b into row, one entry per slot.
@@ -742,7 +769,7 @@ func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	if !c.opts.NoExprKernels {
 		st.kernel = compileVecExpr(n.E, in.frame)
 	}
-	c.tally(st.kernel == nil)
+	c.tally(n.E, st.kernel == nil)
 	if st.kernel == nil {
 		if st.e, err = c.compileExpr(n.E, in.frame); err != nil {
 			return nil, err
@@ -806,22 +833,6 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	return staged(in, f, st), nil
 }
 
-// copyRows materializes the live rows of a batch stream as boxed slices
-// (build sides of products and joins — the operator's "output plugin").
-func copyRows(run func(sink batchSink) error, width int) ([][]values.Value, error) {
-	var rows [][]values.Value
-	row := make([]values.Value, width)
-	err := run(func(b *vec.Batch) error {
-		n := b.Len()
-		for k := 0; k < n; k++ {
-			fillRow(b, b.Index(k), row)
-			rows = append(rows, append([]values.Value{}, row...))
-		}
-		return nil
-	})
-	return rows, err
-}
-
 func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
 	l, err := c.compilePlan(n.L)
 	if err != nil {
@@ -838,29 +849,26 @@ func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
 	lw, rw := l.frame.width(), r.frame.width()
 	bs := c.opts.BatchSize
 	return &compiledPlan{frame: f, run: func(sink batchSink) error {
-		// Materialize the right side once (it restarts per left row).
-		right, err := copyRows(r.run, rw)
+		// Materialize the right side once (it restarts per left row),
+		// typed, and pair every left row with every right row through
+		// the join's gather.
+		right, rb, rr, err := retainRows(r.run)
 		if err != nil {
 			return err
 		}
-		p := vec.NewPacker(lw+rw, bs, sink)
-		buf := make([]values.Value, lw+rw)
-		if err := l.run(func(b *vec.Batch) error {
+		g := newPairGather(lw, rw, bs, right, nil, sink)
+		return l.run(func(b *vec.Batch) error {
 			n := b.Len()
 			for k := 0; k < n; k++ {
-				fillRow(b, b.Index(k), buf[:lw])
-				for _, rrow := range right {
-					copy(buf[lw:], rrow)
-					if err := p.Add(buf); err != nil {
+				i := b.Index(k)
+				for j := range rb {
+					if err := g.add(b, i, rb[j], rr[j]); err != nil {
 						return err
 					}
 				}
 			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		return p.Flush()
+			return g.flush(b)
+		})
 	}}, nil
 }
 
@@ -903,21 +911,22 @@ func (c *compiler) compileJoin(n *algebra.Join) (*compiledPlan, error) {
 	for _, s := range r.frame.slots {
 		f.add(s.key.varName, s.key.attr)
 	}
-	lKeys := make([]compiledExpr, len(n.On))
-	rKeys := make([]compiledExpr, len(n.On))
+	// Key components stage like any per-row value (slot, kernel or boxed
+	// fallback, tallied); the residual is a batch filter over the
+	// joined frame, run on each gathered output batch.
+	lKeys := make([]func() valGetter, len(n.On))
+	rKeys := make([]func() valGetter, len(n.On))
 	for i, on := range n.On {
-		if lKeys[i], err = c.compileExpr(on.LExpr, l.frame); err != nil {
+		if lKeys[i], err = c.mkGetter(on.LExpr, l.frame); err != nil {
 			return nil, err
 		}
-		if rKeys[i], err = c.compileExpr(on.RExpr, r.frame); err != nil {
+		if rKeys[i], err = c.mkGetter(on.RExpr, r.frame); err != nil {
 			return nil, err
 		}
 	}
-	var residual compiledExpr
-	if n.Residual != nil {
-		if residual, err = c.compileExpr(n.Residual, f); err != nil {
-			return nil, err
-		}
+	residual, err := c.compileFilter(n.Residual, f)
+	if err != nil {
+		return nil, err
 	}
 	// Slot-reference keys — the overwhelmingly common case — read their
 	// column directly, skipping row materialization. This is the kind of

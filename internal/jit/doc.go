@@ -21,8 +21,8 @@
 // ([]values.Value) otherwise. Filters refine a selection vector (Sel)
 // instead of copying survivors, which lets columnar cache entries serve
 // their slices zero-copy; values are boxed only at the typed→generic
-// boundaries: interpreted expressions, join build sides, and the
-// monoid-reduce root when no unboxed kernel applies.
+// boundaries: interpreted expressions, the elements a collection root
+// emits, and the monoid-reduce root when no unboxed kernel applies.
 //
 // Scans consume one contract: BatchSource, plus the optional
 // RangeBatchSource for morsel-parallel range scans. ScanBatches is the
@@ -46,10 +46,14 @@
 //     slot⊕slot and conjunctions, with typed int/float/string loops.
 //   - Expression kernels (vecexpr.go) stage arithmetic/projection
 //     trees — + - * / % and negation over slots, numeric constants
-//     folded into the kernel — into per-batch column loops. They feed
-//     comparison filters over computed values, reduce heads, ORDER BY
-//     key extraction, stream heads and Bind extension columns (which
-//     then stay typed for everything downstream). Inputs that arrive
+//     folded into the kernel — into per-batch column loops. A numeric
+//     constant on its own is a broadcast kernel (a column filled once
+//     and reused across batches), so COUNT(*) — which lowers to
+//     `sum 1` — and every other constant head or aggregate input take
+//     the typed count/sum/avg paths. They feed comparison filters over
+//     computed values, reduce heads, ORDER BY key extraction, stream
+//     heads and Bind extension columns (which then stay typed for
+//     everything downstream). Inputs that arrive
 //     boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
 //     kernel, so semantics (null propagation, int/float promotion,
 //     division-by-zero errors, string concatenation) are byte-identical
@@ -64,6 +68,21 @@
 // Unboxed reduce kernels cover the count/sum/avg/min/max monoids over
 // slot or kernel heads; every other shape falls back to the row-wise
 // compiled closures, batch by batch.
+//
+// Bound parameters reach the kernels as literals: mcl.BindParams folds
+// each binary expression whose operands are both constants once bound,
+// so `p.id < $1 + 1000` compiles as a slot-vs-constant filter. A fold
+// that fails (`$1 / 0`) is left in place and errors row by row, as the
+// row engine does, and not at all over an empty input.
+//
+// Every staging decision is tallied — filters, aggregate heads, sort
+// keys, grouping keys and aggregate inputs, join keys and residuals,
+// Bind columns — as vectorized or boxed (Options.KernelStats, the
+// kernels_vectorized/kernels_boxed span attributes). The span's
+// boxed_exprs attribute names the first four boxed expressions, so
+// EXPLAIN ANALYZE shows which stage fell back. A collection head that
+// only builds the emitted elements is the result boundary, not a
+// stage, and is not tallied.
 //
 // # Grouped aggregation
 //
@@ -132,6 +151,17 @@
 // serial over an identical index layout. The join traces as a fold span
 // (kind=join) with join_build/join_seal/join_probe children.
 //
+// The probe emits typed batches (gather.go): per probe batch it queues
+// the matched pairs — the probe row plus the build entry's retained
+// batch and row — and gathers them into a reused output batch of up to
+// BatchSize rows, copying int64, float64 and string payloads with their
+// null masks (dictionary codes gather as strings). Only a column whose
+// sources disagree on representation, such as a demoted build batch, is
+// boxed, and only for that output batch. The residual runs as a batch
+// filter over the gathered rows. The product uses the same gather over
+// its retained right side, so operators above a join or a product stay
+// on their typed paths.
+//
 // # Pull-sink streaming mode
 //
 // Collection-rooted plans (list/bag/set reduces) have a second execution
@@ -162,7 +192,12 @@
 // offset+limit entries — heap memory is O(offset+limit), never O(rows).
 // A keys-only competitiveness pre-check rejects rows that cannot place
 // before their head expression is evaluated, so a wide SELECT under a
-// small LIMIT folds allocation-free in the steady state. The fold runs
+// small LIMIT folds allocation-free in the steady state. When the first
+// sort key is an int64/float64 column (a slot or a kernel) and the heap
+// is full, the pre-check runs unboxed: the row's first key is compared
+// with the worst retained entry's (monoid.TopKAcc.Worst) under
+// values.Compare's numeric order, and only rows that tie or that it
+// cannot decide (nulls, a non-numeric bar) box their keys. The fold runs
 // morsel-parallel over partitionable scans: each worker keeps its own
 // bounded partial heap and partials merge at the root — sound for any
 // collection monoid because the final sort's total order (keys, then the

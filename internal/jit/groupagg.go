@@ -53,7 +53,6 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.tally(ce != nil)
 	switch {
 	case s >= 0:
 		return func() valGetter {

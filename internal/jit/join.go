@@ -44,8 +44,8 @@ const maxJoinPartitions = 1024
 type joinState struct {
 	l, r         *compiledPlan
 	lSlot, rSlot int // slot-reference key fast path; -1 = expression keys
-	lKeys, rKeys []compiledExpr
-	residual     compiledExpr
+	lKeys, rKeys []func() valGetter
+	residual     func() batchFilter // over the joined frame; nil = none
 	lw, rw       int
 	opts         Options
 	parts        int  // partition count, power of two
@@ -86,28 +86,22 @@ type joinIndexPart struct {
 	mask uint64
 }
 
-// joinKeyOf evaluates a key tuple over a filled row; ok is false when
-// any component is null (null keys never join).
-func joinKeyOf(row []values.Value, exprs []compiledExpr) (values.Value, bool, error) {
-	if len(exprs) == 1 {
-		v, err := exprs[0](row)
-		if err != nil || v.IsNull() {
-			return values.Null, false, err
-		}
-		return v, true, nil
+// joinKeyAt builds row i's key tuple from the key columns; ok is false
+// when any component is null (null keys never join).
+func joinKeyAt(cols []*vec.Col, i int) (values.Value, bool) {
+	if len(cols) == 1 {
+		v := cols[0].Value(i)
+		return v, !v.IsNull()
 	}
-	parts := make([]values.Value, len(exprs))
-	for i, e := range exprs {
-		v, err := e(row)
-		if err != nil {
-			return values.Null, false, err
-		}
+	parts := make([]values.Value, len(cols))
+	for j, c := range cols {
+		v := c.Value(i)
 		if v.IsNull() {
-			return values.Null, false, nil
+			return values.Null, false
 		}
-		parts[i] = v
+		parts[j] = v
 	}
-	return values.NewList(parts...), true, nil
+	return values.NewList(parts...), true
 }
 
 func (js *joinState) newPartial() *joinPartial {
@@ -115,19 +109,51 @@ func (js *joinState) newPartial() *joinPartial {
 }
 
 // joinBuilder accumulates partitioned build entries into its current
-// partial: the join build's folder. Its scratch (row buffer, per-batch
-// key hashes) carries over between the morsels it serves.
+// partial: the join build's folder. Its scratch (key getters and
+// columns, per-batch key hashes) carries over between the morsels it
+// serves.
 type joinBuilder struct {
 	js      *joinState
 	span    *trace.Span // receives the entry count
 	part    *joinPartial
-	row     []values.Value
+	keys    keyCols // expression keys (rSlot < 0)
 	hs      []uint64
 	hsValid []bool
 }
 
 func (js *joinState) newBuilder(bsp *trace.Span) *joinBuilder {
-	return &joinBuilder{js: js, span: bsp, row: make([]values.Value, js.rw)}
+	jb := &joinBuilder{js: js, span: bsp}
+	if js.rSlot < 0 {
+		jb.keys = newKeyCols(js.rKeys)
+	}
+	return jb
+}
+
+// keyCols evaluates a join side's expression keys as columns, one
+// getter per key component, once per batch.
+type keyCols struct {
+	gets []valGetter
+	cols []*vec.Col
+}
+
+func newKeyCols(mks []func() valGetter) keyCols {
+	kc := keyCols{gets: make([]valGetter, len(mks)), cols: make([]*vec.Col, len(mks))}
+	for i, mk := range mks {
+		kc.gets[i] = mk()
+	}
+	return kc
+}
+
+// eval computes every key column over b's live rows.
+func (kc *keyCols) eval(b *vec.Batch) error {
+	for i, get := range kc.gets {
+		col, err := get(b)
+		if err != nil {
+			return err
+		}
+		kc.cols[i] = col
+	}
+	return nil
 }
 
 func (jb *joinBuilder) start() *joinPartial {
@@ -179,17 +205,16 @@ func (jb *joinBuilder) consume(b *vec.Batch) error {
 			appended++
 		}
 	} else {
+		if err := jb.keys.eval(b); err != nil {
+			return err
+		}
 		for k := 0; k < cnt; k++ {
 			i := b.Index(k)
 			si := i
 			if compacted {
 				si = k
 			}
-			fillRow(b, i, jb.row)
-			kv, ok, err := joinKeyOf(jb.row, js.rKeys)
-			if err != nil {
-				return err
-			}
+			kv, ok := joinKeyAt(jb.keys.cols, i)
 			if !ok {
 				continue
 			}
@@ -320,14 +345,23 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 }
 
 // mkProber stages one probe pipeline over the sealed index: a batchSink
-// probing each live row and packing matches into sink. All scratch
-// (packer, row buffer, hash vectors) is per-prober, so one prober serves
-// one serial run or one probe-morsel scan invocation. matched counts the
-// rows this prober emitted (for the delta-style JoinStats hook); psp
-// accumulates the same count atomically across concurrent probers.
-func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (probe batchSink, pk *vec.Packer, matched *int64) {
-	pk = vec.NewPacker(js.lw+js.rw, js.opts.BatchSize, sink)
-	buf := make([]values.Value, js.lw+js.rw)
+// probing each live row and gathering its matches, typed, into sink
+// (pairGather; the residual filters each gathered batch). All scratch
+// (gather batch, key columns, hash vectors) is per-prober, so one
+// prober serves one serial run or one probe-morsel scan invocation.
+// matched counts the rows this prober emitted (for the delta-style
+// JoinStats hook); psp accumulates the same count atomically across
+// concurrent probers.
+func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (probe batchSink, matched *int64) {
+	var residual batchFilter
+	if js.residual != nil {
+		residual = js.residual()
+	}
+	g := newPairGather(js.lw, js.rw, js.opts.BatchSize, idx.retained, residual, sink)
+	var keys keyCols
+	if js.lSlot < 0 {
+		keys = newKeyCols(js.lKeys)
+	}
 	var hs []uint64
 	var hsValid []bool
 	matched = new(int64)
@@ -335,27 +369,29 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 	// entryMatches verifies key equality on a hash match. With slot keys
 	// on both sides the comparison runs typed (colValEqual, no boxing);
 	// a boxed side boxes only on hash matches, never per probed row.
-	entryMatches := func(part *joinIndexPart, e int, b *vec.Batch, i int, kv values.Value) bool {
+	entryMatches := func(part *joinIndexPart, e int, b *vec.Batch, i int, kv *values.Value) bool {
 		if rSlot >= 0 {
 			rb := &idx.retained[part.batch[e]]
 			ri := int(part.row[e])
 			if lSlot >= 0 {
 				return colValEqual(&b.Cols[lSlot], i, &rb.Cols[rSlot], ri)
 			}
-			return values.Equal(kv, rb.Cols[rSlot].Value(ri))
+			return values.Equal(*kv, rb.Cols[rSlot].Value(ri))
 		}
 		if lSlot >= 0 {
 			return values.Equal(b.Cols[lSlot].Value(i), part.keys[e])
 		}
-		return values.Equal(kv, part.keys[e])
+		return values.Equal(*kv, part.keys[e])
 	}
 	probe = func(b *vec.Batch) error {
 		cnt := b.Len()
 		if lSlot >= 0 {
 			// Vectorized probe: hash the key column once per batch.
 			hs, hsValid = hashLiveCol(&b.Cols[lSlot], b, hs[:0], hsValid[:0])
+		} else if err := keys.eval(b); err != nil {
+			return err
 		}
-		var delta int64
+		before := g.emitted
 		for k := 0; k < cnt; k++ {
 			i := b.Index(k)
 			var kv values.Value
@@ -366,56 +402,31 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 				}
 				h = hs[k]
 			} else {
-				fillRow(b, i, buf[:js.lw])
 				var ok bool
-				var err error
-				kv, ok, err = joinKeyOf(buf[:js.lw], js.lKeys)
-				if err != nil {
-					return err
-				}
-				if !ok {
+				if kv, ok = joinKeyAt(keys.cols, i); !ok {
 					continue
 				}
 				h = kv.Hash()
 			}
 			part := &idx.parts[h>>js.shift]
-			filled := lSlot < 0
 			for e := part.head[h&part.mask]; e != 0; e = part.next[e-1] {
 				ei := int(e - 1)
-				if part.hashes[ei] != h || !entryMatches(part, ei, b, i, kv) {
+				if part.hashes[ei] != h || !entryMatches(part, ei, b, i, &kv) {
 					continue
 				}
-				if !filled {
-					fillRow(b, i, buf[:js.lw])
-					filled = true
-				}
-				rb := &idx.retained[part.batch[ei]]
-				ri := int(part.row[ei])
-				for s := 0; s < js.rw; s++ {
-					buf[js.lw+s] = rb.Cols[s].Value(ri)
-				}
-				if js.residual != nil {
-					pv, err := js.residual(buf)
-					if err != nil {
-						return err
-					}
-					if !(pv.Kind() == values.KindBool && pv.Bool()) {
-						continue
-					}
-				}
-				delta++
-				if err := pk.Add(buf); err != nil {
+				if err := g.add(b, i, part.batch[ei], part.row[ei]); err != nil {
 					return err
 				}
 			}
 		}
-		if delta != 0 {
+		err := g.flush(b)
+		if delta := g.emitted - before; delta != 0 {
 			psp.AddRows(delta)
 			*matched += delta
 		}
-		return nil
+		return err
 	}
-	return probe, pk, matched
+	return probe, matched
 }
 
 // plan assembles the compiledPlan for a staged join: a serial run path
@@ -430,11 +441,8 @@ func (js *joinState) plan(f *frame) *compiledPlan {
 			return err
 		}
 		psp := fold.Child("join_probe")
-		probe, pk, matched := js.mkProber(idx, psp, sink)
+		probe, matched := js.mkProber(idx, psp, sink)
 		err = js.l.run(probe)
-		if err == nil {
-			err = pk.Flush()
-		}
 		psp.End()
 		if js.opts.JoinStats != nil {
 			js.opts.JoinStats(0, 0, *matched, 0)
@@ -469,11 +477,8 @@ func (js *joinState) plan(f *frame) *compiledPlan {
 			if err != nil {
 				return err
 			}
-			probe, pk, matched := js.mkProber(idx, psp, sink)
+			probe, matched := js.mkProber(idx, psp, sink)
 			if perr := pscan(lo, hi, probe); perr != nil {
-				return perr
-			}
-			if perr := pk.Flush(); perr != nil {
 				return perr
 			}
 			if js.opts.JoinStats != nil {

@@ -36,6 +36,10 @@ type diffTable struct {
 	cols   []vec.Col // full-length column storage, immutable once built
 	n      int
 	boxed  bool // serve boxed columns instead of typed windows
+	// demote, when positive, serves the window holding row demote-1
+	// boxed — one demoted batch among typed ones, as a scan that met a
+	// value its schema did not predict produces.
+	demote int
 }
 
 func (s *diffTable) Name() string { return s.name }
@@ -57,7 +61,7 @@ func (s *diffTable) Iterate(fields []string, yield func(values.Value) error) err
 // colWindow serves rows [lo,hi) of column c as a batch column.
 func (s *diffTable) colWindow(c, lo, hi int) vec.Col {
 	col := s.cols[c]
-	if s.boxed {
+	if s.boxed || (lo < s.demote && s.demote <= hi) {
 		out := vec.Col{Tag: vec.Boxed, Boxed: make([]values.Value, 0, hi-lo)}
 		for i := lo; i < hi; i++ {
 			out.Boxed = append(out.Boxed, col.Value(i))
@@ -72,6 +76,8 @@ func (s *diffTable) colWindow(c, lo, hi int) vec.Col {
 		w.Floats = col.Floats[lo:hi]
 	case vec.Str:
 		w.Strs = col.Strs[lo:hi]
+	case vec.StrDict:
+		w.Codes, w.Dict = col.Codes[lo:hi], col.Dict
 	default:
 		w.Tag = vec.Boxed
 		w.Boxed = col.Boxed[lo:hi]
@@ -199,6 +205,36 @@ func genIntCol(rng *rand.Rand, n, domain int) vec.Col {
 	return col
 }
 
+// genFloatCol draws floats in quarter steps with ~20% nulls.
+func genFloatCol(rng *rand.Rand, n int) vec.Col {
+	col := vec.Col{Tag: vec.Float64, Nulls: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		col.Floats = append(col.Floats, float64(rng.Intn(20))/4)
+		col.Nulls[i] = rng.Intn(5) == 0
+	}
+	return col
+}
+
+// genStrCol draws strings from a small domain with ~20% nulls, plain or
+// dictionary-coded (sorted dictionary, as the cache builds them).
+func genStrCol(rng *rand.Rand, n int, dict bool) vec.Col {
+	domain := []string{"ant", "bee", "cat", "dog", "eel", "fox"}
+	col := vec.Col{Tag: vec.Str, Nulls: make([]bool, n)}
+	if dict {
+		col = vec.Col{Tag: vec.StrDict, Dict: domain, Nulls: col.Nulls}
+	}
+	for i := 0; i < n; i++ {
+		c := rng.Intn(len(domain))
+		if dict {
+			col.Codes = append(col.Codes, uint32(c))
+		} else {
+			col.Strs = append(col.Strs, domain[c])
+		}
+		col.Nulls[i] = rng.Intn(5) == 0
+	}
+	return col
+}
+
 // genJoinScenario draws one random join case.
 func genJoinScenario(rng *rand.Rand) joinScenario {
 	sizes := []int{0, 1, 7, 120, 700, 1500}
@@ -213,12 +249,21 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	buildFilter := rng.Intn(3) == 0
 	boxedL := rng.Intn(4) == 0
 	boxedR := rng.Intn(4) == 0
+	demoteR := 0
+	if !boxedR && nR > 0 && rng.Intn(3) == 0 {
+		demoteR = 1 + rng.Intn(nR)
+	}
 	monoidName := []string{"bag", "list", "sum", "count"}[rng.Intn(4)]
+	residuals := []string{"x.a < y.b", "x.f < y.f", "x.s = y.s", "x.a + y.b > 90", "if x.a > 40 then y.f > 2.0 else false"}
 
-	lFields := []string{"k", "a"}
-	rFields := []string{"k", "b"}
-	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100)}
-	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100)}
+	// Payloads: a nullable float and a nullable string per side, the
+	// string plain or dictionary-coded.
+	lFields := []string{"k", "a", "f", "s"}
+	rFields := []string{"k", "b", "f", "s"}
+	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100),
+		genFloatCol(rng, nL), genStrCol(rng, nL, rng.Intn(2) == 0)}
+	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100),
+		genFloatCol(rng, nR), genStrCol(rng, nR, rng.Intn(2) == 0)}
 	if multiKey {
 		lFields = append(lFields, "k2")
 		rFields = append(rFields, "k2")
@@ -226,7 +271,7 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 		rCols = append(rCols, genIntCol(rng, nR, 4))
 	}
 	left := &diffTable{name: "L", fields: lFields, cols: lCols, n: nL, boxed: boxedL}
-	right := &diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR}
+	right := &diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR, demote: demoteR}
 
 	on := []algebra.EquiPair{{LExpr: mcl.MustParse("x.k"), RExpr: mcl.MustParse("y.k")}}
 	if multiKey {
@@ -242,8 +287,10 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 		// compaction path (survivors re-indexed before partitioning).
 		join.R.(*algebra.Scan).Filter = mcl.MustParse("y.b < 20")
 	}
+	resSrc := ""
 	if residual {
-		join.Residual = mcl.MustParse("x.a < y.b")
+		resSrc = residuals[rng.Intn(len(residuals))]
+		join.Residual = mcl.MustParse(resSrc)
 	}
 	var head mcl.Expr
 	switch monoidName {
@@ -252,14 +299,48 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	case "count":
 		head = mcl.MustParse("x.a")
 	default:
-		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b)")
+		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b, lf := x.f, rf := y.f, ls := x.s, rs := y.s)")
 	}
 	return joinScenario{
-		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f multi=%v residual=%v filter=%v boxedL=%v boxedR=%v m=%s",
-			nL, nR, keyKind, distL, distR, nullFrac, multiKey, residual, buildFilter, boxedL, boxedR, monoidName),
+		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f multi=%v residual=%q filter=%v boxedL=%v boxedR=%v demoteR=%d m=%s",
+			nL, nR, keyKind, distL, distR, nullFrac, multiKey, resSrc, buildFilter, boxedL, boxedR, demoteR, monoidName),
 		cat:  algebra.MapCatalog{"L": left, "R": right},
 		plan: &algebra.Reduce{M: mustMonoid(monoidName), Head: head, Input: join},
 		nL:   nL, nR: nR,
+	}
+}
+
+// fixedJoinScenarios are the shapes the random draw reaches rarely or
+// never: many-to-many matches spanning many output batches, a self-join
+// (one source on both sides), and products with and without a
+// selection over them — all over typed float and string payloads.
+func fixedJoinScenarios(rng *rand.Rand) []joinScenario {
+	table := func(name string, n, dist int, dict bool) *diffTable {
+		return &diffTable{name: name, fields: []string{"k", "a", "f", "s"}, n: n, cols: []vec.Col{
+			genKeyCol(rng, n, 0, dist, 0.1), genIntCol(rng, n, 100), genFloatCol(rng, n), genStrCol(rng, n, dict)}}
+	}
+	fields := []string{"k", "a", "f", "s"}
+	scan := func(src, v string) *algebra.Scan { return &algebra.Scan{Source: src, Var: v, Fields: fields} }
+	on := []algebra.EquiPair{{LExpr: mcl.MustParse("x.k"), RExpr: mcl.MustParse("y.k")}}
+	head := mcl.MustParse("(xa := x.a, ya := y.a, xf := x.f, yf := y.f, xs := x.s, ys := y.s)")
+	left, right := table("L", 200, 3, false), table("R", 40, 3, true)
+	right.demote = 17
+	self := table("L", 200, 0, true)
+	small := algebra.MapCatalog{"L": table("L", 30, 0, false), "R": table("R", 25, 0, true)}
+	return []joinScenario{
+		{desc: "many-to-many across output batches", cat: algebra.MapCatalog{"L": left, "R": right},
+			plan: &algebra.Reduce{M: mustMonoid("list"), Head: head, Input: &algebra.Join{L: scan("L", "x"), R: scan("R", "y"), On: on}}},
+		{desc: "many-to-many with a residual", cat: algebra.MapCatalog{"L": left, "R": right},
+			plan: &algebra.Reduce{M: mustMonoid("list"), Head: head, Input: &algebra.Join{L: scan("L", "x"), R: scan("R", "y"), On: on,
+				Residual: mcl.MustParse("x.f < y.f")}}},
+		{desc: "self-join", cat: algebra.MapCatalog{"L": self},
+			plan: &algebra.Reduce{M: mustMonoid("list"), Head: head, Input: &algebra.Join{L: scan("L", "x"), R: scan("L", "y"), On: on,
+				Residual: mcl.MustParse("x.s = y.s")}}},
+		{desc: "product", cat: small,
+			plan: &algebra.Reduce{M: mustMonoid("list"), Head: head, Input: &algebra.Product{L: scan("L", "x"), R: scan("R", "y")}}},
+		{desc: "product under a selection", cat: small,
+			plan: &algebra.Reduce{M: mustMonoid("bag"), Head: head, Input: &algebra.Select{
+				Input: &algebra.Product{L: scan("L", "x"), R: scan("R", "y")}, Pred: mcl.MustParse("x.a < y.a")}}},
 	}
 }
 
@@ -285,8 +366,12 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 	}
 	workerCounts := []int{2, 4, 8}
 	partitionCounts := []int{1, 4, 16}
+	var scenarios []joinScenario
 	for ci := 0; ci < cases; ci++ {
-		sc := genJoinScenario(rng)
+		scenarios = append(scenarios, genJoinScenario(rng))
+	}
+	scenarios = append(scenarios, fixedJoinScenarios(rng)...)
+	for ci, sc := range scenarios {
 		want, err := algebra.Reference{}.Run(sc.plan, sc.cat)
 		if err != nil {
 			t.Fatalf("case %d (%s): reference: %v", ci, sc.desc, err)

@@ -88,8 +88,37 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 		}
 		oc.keyCols[j] = kc
 	}
+	// Typed pre-check: once the accumulator is full, a first key read
+	// from an int64/float64 column compares against the worst entry's
+	// first key unboxed. A row that sorts after it cannot place and is
+	// skipped; one that sorts before it places. Only ties and undecided
+	// rows (nulls, a non-numeric bar) box their keys for Competitive.
+	// Keys evaluated row-wise disable it: skipping a row must not skip
+	// an error its keys would raise.
+	first := oc.keyCols[0]
+	if oc.keyIdxs[0] >= 0 {
+		first = &b.Cols[oc.keyIdxs[0]]
+	}
+	if first != nil && (oc.needRowKeys || !numericTag(first.Tag)) {
+		first = nil
+	}
+	var bar keyBar
+	stale := true
 	for k := 0; k < n; k++ {
 		i := b.Index(k)
+		places := false
+		if first != nil {
+			if stale {
+				bar, stale = oc.bar(), false
+			}
+			if bar.full {
+				c, ok := bar.rank(first, i)
+				if ok && c > 0 {
+					continue
+				}
+				places = ok && c < 0
+			}
+		}
 		if oc.needRowKeys {
 			fillRow(b, i, oc.row)
 		}
@@ -117,7 +146,7 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 		// per-row cost of wide selects) and reuse the key buffer — the
 		// steady state of a large scan under a small limit folds
 		// allocation-free.
-		if !oc.acc.Competitive(keys) {
+		if !places && !oc.acc.Competitive(keys) {
 			continue
 		}
 		var h values.Value
@@ -135,9 +164,67 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 		}
 		if oc.acc.Offer(keys, h) {
 			oc.keys = nil
+			stale = true
 		}
 	}
 	return nil
+}
+
+// keyBar is the worst retained entry's first sort key, unpacked for
+// the typed pre-check.
+type keyBar struct {
+	full  bool // the accumulator is full and its bar is numeric
+	desc  bool
+	isInt bool
+	i     int64
+	f     float64
+}
+
+// bar unpacks the accumulator's current bar.
+func (oc *orderedConsumer) bar() keyBar {
+	worst, full := oc.acc.Worst()
+	if !full {
+		return keyBar{}
+	}
+	kb := keyBar{full: true, desc: oc.desc[0]}
+	switch w := &worst[0]; w.Kind() {
+	case values.KindInt:
+		kb.isInt, kb.i = true, w.Int()
+	case values.KindFloat:
+		kb.f = w.Float()
+	default:
+		return keyBar{}
+	}
+	return kb
+}
+
+// rank orders row i of the numeric column col against the bar on the
+// first key, as values.Compare would with the key's direction applied:
+// c > 0 means the row sorts after the bar. ok is false for a null row,
+// which only the boxed comparison decides.
+func (kb *keyBar) rank(col *vec.Col, i int) (c int, ok bool) {
+	if col.Nulls != nil && col.Nulls[i] {
+		return 0, false
+	}
+	switch {
+	case col.Tag == vec.Int64 && kb.isInt:
+		v := col.Ints[i]
+		if v < kb.i {
+			c = -1
+		} else if v > kb.i {
+			c = 1
+		}
+	case col.Tag == vec.Int64:
+		c = values.CompareFloats(float64(col.Ints[i]), kb.f)
+	case kb.isInt:
+		c = values.CompareFloats(col.Floats[i], float64(kb.i))
+	default:
+		c = values.CompareFloats(col.Floats[i], kb.f)
+	}
+	if kb.desc {
+		c = -c
+	}
+	return c, true
 }
 
 // compileOrderedConsumer stages the keyed top-k root: optional inline

@@ -300,7 +300,7 @@ func (c *compiler) compileStreamConsumer(p *algebra.Reduce, input *compiledPlan)
 	if err != nil {
 		return nil, err
 	}
-	headIdx, mkHeadKernel, head, err := c.compileValue(p.Head, input.frame)
+	headIdx, mkHeadKernel, head, err := c.compileRowValue(p.Head, input.frame)
 	if err != nil {
 		return nil, err
 	}

@@ -35,13 +35,18 @@ func isArithOp(op mcl.BinOp) bool {
 }
 
 // compileVecExpr stages an expression as a vectorized column-kernel
-// factory when its shape allows: slot references (identity), negation
-// and + - * / % trees over slots with numeric constants folded in. nil
-// means the caller must use the row-wise fallback. Each factory call
-// returns a kernel with its own scratch, safe for one serial run or one
-// morsel worker.
+// factory when its shape allows: slot references (identity), numeric
+// constants (broadcast), negation and + - * / % trees over them, with
+// constant operands folded into the arithmetic. nil means the caller
+// must use the row-wise fallback. Each factory call returns a kernel
+// with its own scratch, safe for one serial run or one morsel worker.
 func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 	switch n := e.(type) {
+	case *mcl.ConstExpr:
+		if !n.Val.IsNumeric() {
+			return nil
+		}
+		return constKernel(n.Val)
 	case *mcl.VarExpr, *mcl.ProjExpr:
 		idx := slotOf(e, f)
 		if idx < 0 {
@@ -64,7 +69,11 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 		rc, rok := constOf(n.R)
 		switch {
 		case lok && rok:
-			return nil // constant folding is normalization's job
+			// Normalization folds literal arithmetic and BindParams folds
+			// bound parameters; what is left here failed to fold (`$1 / 0`
+			// errors) and stays row-wise, erroring per row like the row
+			// engine — and not at all over an empty input.
+			return nil
 		case rok:
 			if !rc.IsNumeric() {
 				return nil
@@ -106,33 +115,65 @@ func prepOut(out *vec.Col, tag vec.Tag, n int, withNulls bool) {
 	out.Tag = tag
 	switch tag {
 	case vec.Int64:
-		if cap(out.Ints) < n {
-			out.Ints = make([]int64, n)
-		} else {
-			out.Ints = out.Ints[:n]
-		}
+		out.Ints = resized(out.Ints, n)
 	case vec.Float64:
-		if cap(out.Floats) < n {
-			out.Floats = make([]float64, n)
-		} else {
-			out.Floats = out.Floats[:n]
-		}
+		out.Floats = resized(out.Floats, n)
 	default:
-		if cap(out.Boxed) < n {
-			out.Boxed = make([]values.Value, n)
-		} else {
-			out.Boxed = out.Boxed[:n]
-		}
+		out.Boxed = resized(out.Boxed, n)
 	}
 	if withNulls {
-		if cap(out.Nulls) < n {
-			out.Nulls = make([]bool, n)
-		} else {
-			out.Nulls = out.Nulls[:n]
-		}
+		out.Nulls = resized(out.Nulls, n)
 	} else {
 		out.Nulls = nil
 	}
+}
+
+// resized returns s with length n, reusing its capacity and at least
+// doubling it when it must grow.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// constKernel stages a numeric constant as a broadcast column: COUNT(*)
+// lowers to `sum 1`, so a constant head or aggregate input keeps the
+// typed count/sum/avg paths instead of boxing every row. The column is
+// filled once and only extended when a batch outgrows it, so consumers
+// reading it at any physical row of the batch see the constant.
+func constKernel(cv values.Value) func() vecExpr {
+	return func() vecExpr {
+		out := &vec.Col{Tag: vec.Float64}
+		if cv.Kind() == values.KindInt {
+			out.Tag = vec.Int64
+		}
+		var ints []int64
+		var floats []float64
+		return func(b *vec.Batch) (*vec.Col, error) {
+			if out.Tag == vec.Int64 {
+				if len(ints) < b.N {
+					ints = broadcast(b.N, cv.Int())
+				}
+				out.Ints = ints[:b.N]
+			} else {
+				if len(floats) < b.N {
+					floats = broadcast(b.N, cv.Float())
+				}
+				out.Floats = floats[:b.N]
+			}
+			return out, nil
+		}
+	}
+}
+
+// broadcast returns n copies of v.
+func broadcast[T any](n int, v T) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // negKernel stages unary negation, mirroring the row path's semantics

@@ -860,11 +860,19 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	if err != nil {
 		return nil, err
 	}
-	headIdx, mkHeadKernel, head, err := c.compileValue(p.Head, input.frame)
+	// A collection's head only builds its elements (the result
+	// boundary); an aggregate's head feeds the fold, a counted stage.
+	var headIdx int
+	var mkHeadKernel func() vecExpr
+	var head compiledExpr
+	if monoid.IsCollection(p.M) {
+		headIdx, mkHeadKernel, head, err = c.compileRowValue(p.Head, input.frame)
+	} else {
+		headIdx, mkHeadKernel, head, err = c.compileValue(p.Head, input.frame)
+	}
 	if err != nil {
 		return nil, err
 	}
-	c.tally(head != nil)
 	kind := aggGeneric
 	if headIdx >= 0 || mkHeadKernel != nil {
 		switch p.M.Name() {

@@ -4,10 +4,11 @@ import "vida/internal/values"
 
 // BindParams returns e with every ParamExpr whose name appears in params
 // replaced by the bound constant. Parameters not present in the map are
-// left in place (callers validate completeness separately). The input
-// expression is never mutated: shared subtrees are safe, which is what
-// lets one cached plan serve concurrent executions with different
-// bindings.
+// left in place (callers validate completeness separately). A binary
+// expression whose operands are both constants once bound folds (see
+// foldBound). The input expression is never mutated: shared subtrees
+// are safe, which is what lets one cached plan serve concurrent
+// executions with different bindings.
 func BindParams(e Expr, params map[string]values.Value) Expr {
 	if e == nil || len(params) == 0 {
 		return e
@@ -39,7 +40,7 @@ func BindParams(e Expr, params map[string]values.Value) Expr {
 			Else: BindParams(n.Else, params),
 		}
 	case *BinExpr:
-		return &BinExpr{Op: n.Op, L: BindParams(n.L, params), R: BindParams(n.R, params)}
+		return foldBound(&BinExpr{Op: n.Op, L: BindParams(n.L, params), R: BindParams(n.R, params)})
 	case *NotExpr:
 		return &NotExpr{E: BindParams(n.E, params)}
 	case *NegExpr:
@@ -91,4 +92,41 @@ func BindParams(e Expr, params map[string]values.Value) Expr {
 		}
 	}
 	return e
+}
+
+// foldBound folds a rebuilt binary expression whose operands are both
+// constants now that its parameters are bound — `$1 + 1000` becomes one
+// literal — with normalization's constFold: binding runs after
+// normalization, which could not fold a hole, and the executors' typed
+// kernels compare a column against a literal, not against constant
+// arithmetic. A bound null folds like any constant (ApplyBinOp is total
+// over nulls). A fold that fails (`$1 / 0`) leaves the expression as it
+// is, so it errors exactly where the row engine evaluates it — and not
+// at all over an empty input.
+func foldBound(n *BinExpr) Expr {
+	l, lok := boundConst(n.L)
+	r, rok := boundConst(n.R)
+	if !lok || !rok {
+		return n
+	}
+	folded, ok := constFold(&BinExpr{Op: n.Op, L: l, R: r})
+	if !ok {
+		return n
+	}
+	if folded.(*ConstExpr).Val.IsNull() {
+		return &NullExpr{}
+	}
+	return folded
+}
+
+// boundConst returns e as a ConstExpr when it is a constant: a literal,
+// or the null literal a null binding becomes.
+func boundConst(e Expr) (*ConstExpr, bool) {
+	switch c := e.(type) {
+	case *ConstExpr:
+		return c, true
+	case *NullExpr:
+		return &ConstExpr{Val: values.Null}, true
+	}
+	return nil, false
 }

@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"strings"
 	"testing"
 
 	"vida/internal/values"
@@ -69,5 +70,32 @@ func TestNormalizePreservesParams(t *testing.T) {
 	// Unbound parameters surviving to evaluation error out clearly.
 	if _, err := Eval(&ParamExpr{Name: "min"}, NewEnv(nil)); err == nil {
 		t.Fatal("evaluating an unbound parameter should fail")
+	}
+}
+
+func TestBindParamsFoldsBoundConstants(t *testing.T) {
+	e := MustParse(`for { p <- People, p.id < $1 + 1000, p.w > $1 * 2.5 } yield sum 1`)
+	bound := BindParams(e, map[string]values.Value{"1": values.NewInt(7)}).String()
+	for _, want := range []string{"p.id < 1007", "p.w > 17.5"} {
+		if !strings.Contains(bound, want) {
+			t.Fatalf("bound %s: want folded %q", bound, want)
+		}
+	}
+	// A null binding folds arithmetic to null and comparisons to false.
+	nullE := MustParse(`for { p <- People, p.id < $1 + 1000 } yield sum ($1 = 1)`)
+	nb := BindParams(nullE, map[string]values.Value{"1": values.Null}).String()
+	for _, want := range []string{"p.id < null", "sum false"} {
+		if !strings.Contains(nb, want) {
+			t.Fatalf("null-bound %s: want %q", nb, want)
+		}
+	}
+	// A fold that errors stays unfolded: the division errors at
+	// evaluation, per row, as it would without binding.
+	div := BindParams(MustParse(`$1 / 0`), map[string]values.Value{"1": values.NewInt(3)})
+	if _, ok := div.(*BinExpr); !ok {
+		t.Fatalf("$1 / 0 folded to %s", div)
+	}
+	if _, err := Eval(div, NewEnv(nil)); err == nil {
+		t.Fatal("bound $1 / 0 evaluated without error")
 	}
 }

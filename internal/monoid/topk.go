@@ -152,6 +152,18 @@ func (t *TopKAcc) Competitive(keys []values.Value) bool {
 	return true
 }
 
+// Worst returns the sort keys of the worst retained entry — the bar a
+// new entry's keys must meet to be retained — once the accumulator is
+// full, and false while it still admits every entry (or has not ranked
+// its entries yet). It is read-only: executors use it to pre-check
+// typed keys without boxing them, and must not modify the keys.
+func (t *TopKAcc) Worst() ([]values.Value, bool) {
+	if t.keep <= 0 || len(t.entries) < t.keep || !t.heaped {
+		return nil, false
+	}
+	return t.entries[0].Keys, true
+}
+
 // heapify arranges entries as a max-heap under less (root = worst).
 func (t *TopKAcc) heapify() {
 	for i := len(t.entries)/2 - 1; i >= 0; i-- {

@@ -145,3 +145,42 @@ func TestTopKMonoidStillRanksDescending(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKAccWorstIsTheBar: once full, Worst reports the keys of the
+// entry Finalize would rank last — exactly the bar Competitive applies
+// — and an unfilled or unbounded accumulator reports none.
+func TestTopKAccWorstIsTheBar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		desc := []bool{rng.Intn(2) == 1}
+		keep := 1 + rng.Intn(8)
+		acc := NewTopKAcc(desc, keep)
+		if _, full := NewTopKAcc(desc, -1).Worst(); full {
+			t.Fatal("unbounded accumulator reported a bar")
+		}
+		for i := 0; i < 40; i++ {
+			k := intv(rng.Int63n(20))
+			_, full := acc.Worst()
+			if full != (acc.Len() == keep) {
+				t.Fatalf("full = %v with %d of %d entries", full, acc.Len(), keep)
+			}
+			acc.Add([]values.Value{k}, intv(int64(i)))
+		}
+		worst, full := acc.Worst()
+		if !full {
+			t.Fatal("full accumulator reported no bar")
+		}
+		// A key strictly beyond the bar never competes; the bar's own
+		// key ties and competes.
+		if !acc.Competitive(worst) {
+			t.Fatalf("bar %v not competitive against itself", worst)
+		}
+		beyond := intv(worst[0].Int() + 1)
+		if desc[0] {
+			beyond = intv(worst[0].Int() - 1)
+		}
+		if acc.Competitive([]values.Value{beyond}) {
+			t.Fatalf("key %v beyond the bar %v competes (desc=%v)", beyond, worst, desc[0])
+		}
+	}
+}

@@ -41,6 +41,6 @@
 // with a header-level copy and no payload copy. Retain on a transient
 // batch performs one bulk typed copy per column; Compact additionally
 // drops unselected rows (re-indexing the result). Anything downstream
-// of a mutation point (Packer, Bind extension columns) must clear
-// Stable.
+// of a mutation point (Packer, a join's gathered output, Bind extension
+// columns) must clear Stable.
 package vec

@@ -481,8 +481,8 @@ func (b *Batch) Records(fields []string, yield func(values.Value) error) error {
 }
 
 // Packer accumulates rows into a reused boxed batch and emits it to Sink
-// when full (and on Flush). It adapts row-exploding operators (products,
-// joins, unnests) to the batch pipeline.
+// when full (and on Flush). It adapts row-exploding operators (unnests
+// of collection-valued expressions) to the batch pipeline.
 type Packer struct {
 	b    Batch
 	size int

@@ -2,6 +2,9 @@ package vida
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,29 +89,66 @@ func TestOrderByLimitAcrossAPIs(t *testing.T) {
 	}
 }
 
-// TestOrderByDeterministicAcrossWorkerCounts runs a warm parallel top-k
-// under different scheduler widths and demands byte-identical results
-// (acceptance criterion: parallel top-k results are deterministic across
-// worker counts).
+// TestOrderByDeterministicAcrossWorkerCounts runs warm parallel top-k
+// queries under different scheduler widths and demands byte-identical
+// results, equal to the reference and static executors' (acceptance
+// criterion: parallel top-k results are deterministic across worker
+// counts). The keys cover the typed pre-check's branches: an int first
+// key, heavy ties and nulls in it (k holds four values and a null every
+// seventh row), a float first key, and mixed ASC/DESC.
 func TestOrderByDeterministicAcrossWorkerCounts(t *testing.T) {
-	const q = `SELECT id, age FROM People ORDER BY age DESC, id LIMIT 20`
-	var baseline string
-	for _, workers := range []int{1, 2, 8} {
-		pool := sched.NewPool(workers)
-		e := setupBigOpts(t, 30000, WithScheduler(pool))
+	queries := []string{
+		`SELECT id, age FROM People ORDER BY age DESC, id LIMIT 20`,
+		`SELECT id, k FROM People ORDER BY k DESC, id LIMIT 20`,
+		`SELECT id, k FROM People ORDER BY k, id DESC LIMIT 25 OFFSET 5`,
+		`SELECT id, w FROM People ORDER BY w, id DESC LIMIT 20`,
+		`SELECT id, w, k FROM People ORDER BY w DESC, k, id LIMIT 30`,
+	}
+	path := filepath.Join(t.TempDir(), "people.csv")
+	var sb strings.Builder
+	sb.WriteString("id,age,k,w\n")
+	for i := 1; i <= 30000; i++ {
+		k := strconv.Itoa(i % 4)
+		if i%7 == 3 {
+			k = "" // null
+		}
+		fmt.Fprintf(&sb, "%d,%d,%s,%g\n", i, 20+i%60, k, float64(i*37%4000)/8)
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const schema = "Record(Att(id, int), Att(age, int), Att(k, int), Att(w, float))"
+	run := func(name string, opts ...Option) []string {
+		e := New(opts...)
+		if err := e.RegisterCSV("People", path, schema, nil); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := e.Query(`for { p <- People } yield count p.id`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.QuerySQL(q)
-		if err != nil {
-			t.Fatal(err)
+		var out []string
+		for _, q := range queries {
+			res, err := e.QuerySQL(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			out = append(out, res.String())
 		}
-		rendered := res.String()
-		if baseline == "" {
-			baseline = rendered
-		} else if rendered != baseline {
-			t.Fatalf("workers=%d: result differs:\n%s\nvs\n%s", workers, rendered, baseline)
+		return out
+	}
+	baseline := run("reference", WithReferenceExecutor())
+	check := func(name string, got []string) {
+		t.Helper()
+		for i, q := range queries {
+			if got[i] != baseline[i] {
+				t.Fatalf("%s: %s: result differs:\n%s\nvs reference\n%s", name, q, got[i], baseline[i])
+			}
 		}
+	}
+	check("static", run("static", WithStaticExecutor()))
+	for _, workers := range []int{1, 2, 8} {
+		pool := sched.NewPool(workers)
+		check(fmt.Sprintf("workers=%d", workers), run("jit", WithScheduler(pool)))
 		pool.Close()
 	}
 }
